@@ -34,9 +34,8 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 
 from repro.corpus.generator import generate_corpus
-from repro.features.extractor import FeatureExtractor, TokenFeatureExtractor
 from repro.flows.graph import enhance
-from repro.js.lexer import scan_summary, tokenize
+from repro.js.lexer import tokenize
 from repro.transform import get_transformer
 from tests import reference_lexer, reference_parser
 
@@ -160,30 +159,6 @@ def test_bench_parse_tokenize_wild_bundles(benchmark, wild_bundles):
 def test_bench_parse_tokenize_reference(benchmark, corpus_mix):
     """The frozen pre-rewrite lexer: the 'before' record."""
     result = benchmark(lambda: [reference_lexer.tokenize(s) for s in corpus_mix])
-    assert len(result) == len(corpus_mix)
-    _record_rate(benchmark, len(corpus_mix))
-
-
-def test_bench_parse_single_pass_summary(benchmark, corpus_mix):
-    """Single-pass token features vs the full parse+flow+extract path."""
-    extractor = TokenFeatureExtractor(ngram_dims=128, ngram_source="tokens")
-    full = FeatureExtractor(level=2, ngram_dims=128, ngram_source="tokens")
-    full_s = _time_once(full.extract, corpus_mix)
-    result = benchmark(lambda: [extractor.extract(s) for s in corpus_mix])
-    assert len(result) == len(corpus_mix)
-    _record_rate(benchmark, len(corpus_mix))
-    stats = benchmark.stats.stats
-    benchmark.extra_info["full_extractor_files_per_sec"] = round(
-        len(corpus_mix) / full_s, 2
-    )
-    benchmark.extra_info["speedup_vs_full_extraction"] = round(
-        full_s / stats.mean, 2
-    )
-
-
-def test_bench_parse_scan_summary_only(benchmark, corpus_mix):
-    """The raw scan_summary fold (tokenize + aggregate, no vector)."""
-    result = benchmark(lambda: [scan_summary(s, ngram_dims=128) for s in corpus_mix])
     assert len(result) == len(corpus_mix)
     _record_rate(benchmark, len(corpus_mix))
 

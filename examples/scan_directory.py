@@ -72,7 +72,7 @@ def main() -> None:
     # extraction fans out across n_workers processes, and unreadable files
     # come back as per-file errors instead of crashing the scan.
     n_workers = int(sys.argv[2]) if len(sys.argv) > 2 else min(2, os.cpu_count() or 1)
-    results = detector.classify_many(sources, n_workers=n_workers)
+    results = detector.batch_engine(n_workers=n_workers).classify(sources).results
     n_transformed = 0
     for path, result in zip(admitted, results):
         n_transformed += int(result.transformed)

@@ -47,11 +47,18 @@ fi
 
 # Scan/serve isolation gate: the crawl-scale scan workers must stay
 # importable (and shippable to worker hosts) without dragging in the
-# serving layer — scan progress counters are deliberately reimplemented
-# in repro/scan/progress.py instead of importing repro.serve.metrics.
+# serving layer.  Scan and serve share the metrics registry through the
+# leaf module repro/obs.py, never through each other.
 if grep -rnE '^[[:space:]]*(from|import)[[:space:]]+repro\.serve' src/repro/scan \
     --include='*.py'; then
   echo "[lint] repro.scan must never import the serve layer (see matches above)" >&2
+  exit 1
+fi
+
+# Leaf-module gate: repro/obs.py is imported by both scan and serve, so it
+# must import no other repro module (or it would pull one into the other).
+if grep -nE '^[[:space:]]*(from|import)[[:space:]]+repro([.[:space:]]|$)' src/repro/obs.py; then
+  echo "[lint] src/repro/obs.py must not import other repro modules" >&2
   exit 1
 fi
 

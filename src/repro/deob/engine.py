@@ -163,8 +163,6 @@ class DeobEngine:
         """Normalize ``source``; never raises on malformed input."""
         started = time.perf_counter()
         report = DeobReport(passes=[PassStats(p.name) for p in self.passes])
-        stats_by_name = {stats.name: stats for stats in report.passes}
-
         try:
             program = parse(source)
         except Exception as exc:
@@ -174,12 +172,35 @@ class DeobEngine:
 
         report.nodes_before = count_nodes(program)
         if report.nodes_before > self.budget.max_nodes:
-            report.bailed = "node-budget"
-            report.nodes_after = report.nodes_before
-            report.wall_time_ms = (time.perf_counter() - started) * 1000
-            return DeobResult(source=source, report=report, changed=False)
+            return self._bail(source, report, started, "node-budget")
+        try:
+            return self._fixpoint(source, program, report, started)
+        except RecursionError:
+            # Codegen recurses on expression depth: a chain deep enough to
+            # exhaust the stack keeps the input, with the trip reported.
+            bailed = DeobReport(
+                passes=[PassStats(p.name) for p in self.passes],
+                nodes_before=report.nodes_before,
+                techniques_before=report.techniques_before,
+            )
+            return self._bail(source, bailed, started, "recursion")
 
+    # -- internals ---------------------------------------------------------------
+
+    def _bail(
+        self, source: str, report: DeobReport, started: float, reason: str
+    ) -> DeobResult:
+        """The input unchanged, with the budget that tripped."""
+        report.bailed = reason
+        report.nodes_after = report.nodes_before
+        report.techniques_after = dict(report.techniques_before)
+        report.wall_time_ms = (time.perf_counter() - started) * 1000
+        return DeobResult(source=source, report=report, changed=False)
+
+    def _fixpoint(self, source, program, report, started) -> DeobResult:
+        """Run the passes to a fixpoint and generate the normal form."""
         report.techniques_before = self._confidences(source)
+        stats_by_name = {stats.name: stats for stats in report.passes}
 
         current_source = source
         seen_sources = {source}
@@ -234,8 +255,6 @@ class DeobEngine:
         return DeobResult(
             source=normalized, report=report, changed=normalized != source
         )
-
-    # -- internals ---------------------------------------------------------------
 
     def _run_passes(self, passes, program, ctx, stats_by_name, disabled, started, report):
         """Apply one round of passes; the rewritten program or False/None."""

@@ -29,7 +29,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from repro.corpus.filters import MAX_BYTES
 from repro.detector.level1 import Level1Detector
 from repro.detector.level2 import DEFAULT_K, DEFAULT_THRESHOLD, Level2Detector
 from repro.features.extractor import PairedFeatureExtractor
+from repro.outcome import DetectionError, FileOutcome, detection_error
 from repro.rules.engine import RuleEngine, TriageResult, default_engine
 from repro.rules.findings import Finding, max_confidence_by_technique
 from repro.transform.base import OBFUSCATION_TECHNIQUES, Technique
@@ -44,23 +45,8 @@ from repro.transform.base import OBFUSCATION_TECHNIQUES, Technique
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline imports us)
     from repro.detector.pipeline import DetectionResult, TransformationDetector
 
-#: outcome tuples:
-#: ("ok", vec1, vec2, df_available, flow_timeout, findings) | ("err", kind, message)
-_Outcome = tuple
-
 #: Triage modes accepted by :class:`BatchInferenceEngine`.
 TRIAGE_MODES = ("off", "prefilter", "only")
-
-
-@dataclass(frozen=True)
-class DetectionError:
-    """Why one file of a batch could not be classified."""
-
-    kind: str  #: "oversize" | "parse" | "recursion" | "internal"
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.kind}: {self.message}"
 
 
 @dataclass
@@ -136,21 +122,6 @@ class BatchFeatures:
 
 
 @dataclass
-class TokenBatchFeatures:
-    """Token-level fast-path features for a batch (no AST built).
-
-    ``X`` rows align with ``ok_indices`` exactly like
-    :class:`BatchFeatures`; files the lexer rejected appear in
-    ``errors``.
-    """
-
-    X: np.ndarray
-    ok_indices: list[int]
-    errors: dict[int, DetectionError]
-    stats: BatchStats
-
-
-@dataclass
 class BatchResult:
     """Per-file detection results (input order) plus batch statistics."""
 
@@ -169,36 +140,28 @@ class BatchResult:
 
 def _extract_one(
     paired: PairedFeatureExtractor, max_bytes: int | None, source: str
-) -> _Outcome:
+) -> FileOutcome:
     """Extract both vectors for one source; never raises (fault isolation)."""
     if max_bytes is not None:
         size = len(source.encode("utf-8", errors="replace"))
         if size > max_bytes:
-            return ("err", "oversize", f"{size} bytes exceeds limit of {max_bytes}")
+            return FileOutcome(
+                error=DetectionError(
+                    "oversize", f"{size} bytes exceeds limit of {max_bytes}"
+                )
+            )
     try:
-        v1, v2, df_available, flow_timeout, findings = paired.extract_pair(source)
-    except RecursionError:
-        return ("err", "recursion", "AST nesting exceeds the recursion limit")
-    except (SyntaxError, ValueError) as error:  # ParseError / LexerError
-        return ("err", "parse", str(error) or type(error).__name__)
+        return paired.extract_pair(source)
     except Exception as error:  # noqa: BLE001 - one file must not kill a batch
-        return ("err", "internal", f"{type(error).__name__}: {error}")
-    return ("ok", v1, v2, df_available, flow_timeout, findings)
+        return FileOutcome(error=detection_error(error))
 
 
-def _extract_chunk(
-    paired: PairedFeatureExtractor, max_bytes: int | None, chunk: list[str]
-) -> list[_Outcome]:
-    """Worker entry point: extract a chunk of sources (module-level, picklable)."""
-    return [_extract_one(paired, max_bytes, source) for source in chunk]
-
-
-#: per-process deob engine for pool workers (built once, reused per chunk).
+#: per-process deob engine for pool workers (built once, reused per file).
 _POOL_DEOB_ENGINE = None
 
 
-def _deob_chunk(chunk: list[str]) -> list:
-    """Worker entry point: normalize a chunk through a process-local engine.
+def _deob_one(source: str):
+    """Pool worker entry point: normalize one source through a process-local engine.
 
     The engine is constructed lazily inside the worker (the default
     catalog engine — custom rule engines keep the serial path) so the
@@ -209,7 +172,29 @@ def _deob_chunk(chunk: list[str]) -> list:
         from repro.deob import DeobEngine
 
         _POOL_DEOB_ENGINE = DeobEngine()
-    return [_POOL_DEOB_ENGINE.run(source) for source in chunk]
+    return _POOL_DEOB_ENGINE.run(source)
+
+
+def _map_chunk(function: Callable, chunk: list) -> list:
+    return [function(item) for item in chunk]
+
+
+def pool_map(
+    function: Callable, items: list, n_workers: int, chunk_size: int | None = None
+) -> list:
+    """``[function(item) for item in items]`` across a process pool, in order.
+
+    Items go out in chunks (``None`` sizes them to about four per worker)
+    so the per-dispatch pickling cost is paid per chunk, not per item.
+    ``function`` must be picklable: module-level, or a ``partial`` of one.
+    """
+    size = chunk_size or max(1, -(-len(items) // (n_workers * 4)))
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
+    results: list = []
+    with ProcessPoolExecutor(max_workers=n_workers) as executor:
+        for chunk_results in executor.map(partial(_map_chunk, function), chunks):
+            results.extend(chunk_results)
+    return results
 
 
 class BatchInferenceEngine:
@@ -277,18 +262,8 @@ class BatchInferenceEngine:
         self.triage = triage
         self._default_rules = rule_engine is None
         self.rules = rule_engine or default_engine()
-        self._cache: OrderedDict[str, _Outcome] = OrderedDict()
-        self._token_extractor = None
+        self._cache: OrderedDict[str, FileOutcome] = OrderedDict()
         self._deob_engine = None
-
-    @property
-    def token_extractor(self):
-        """Lazily-built :class:`~repro.features.fastpath.TokenFeatureExtractor`."""
-        if self._token_extractor is None:
-            from repro.features.fastpath import TokenFeatureExtractor
-
-            self._token_extractor = TokenFeatureExtractor()
-        return self._token_extractor
 
     @property
     def deob_engine(self):
@@ -305,13 +280,13 @@ class BatchInferenceEngine:
     def _key(source: str) -> str:
         return hashlib.sha256(source.encode("utf-8", errors="replace")).hexdigest()
 
-    def _cache_get(self, key: str) -> _Outcome | None:
+    def _cache_get(self, key: str) -> FileOutcome | None:
         outcome = self._cache.get(key)
         if outcome is not None:
             self._cache.move_to_end(key)
         return outcome
 
-    def _cache_put(self, key: str, outcome: _Outcome) -> None:
+    def _cache_put(self, key: str, outcome: FileOutcome) -> None:
         if self.cache_size <= 0:
             return
         self._cache[key] = outcome
@@ -324,25 +299,15 @@ class BatchInferenceEngine:
 
     # -- extraction ----------------------------------------------------------
 
-    def _run_extraction(self, sources: list[str]) -> list[_Outcome]:
+    def _parallel(self, sources: list[str]) -> bool:
+        return self.n_workers > 1 and len(sources) > 1
+
+    def _run_extraction(self, sources: list[str]) -> list[FileOutcome]:
         """Extract unique cache-miss sources, serially or across workers."""
-        if self.n_workers == 1 or len(sources) < 2:
-            return [
-                _extract_one(self.paired, self.max_source_bytes, source)
-                for source in sources
-            ]
-        chunk_size = self.chunk_size or max(
-            1, -(-len(sources) // (self.n_workers * 4))
-        )
-        chunks = [
-            sources[i : i + chunk_size] for i in range(0, len(sources), chunk_size)
-        ]
-        worker = partial(_extract_chunk, self.paired, self.max_source_bytes)
-        outcomes: list[_Outcome] = []
-        with ProcessPoolExecutor(max_workers=self.n_workers) as executor:
-            for chunk_outcomes in executor.map(worker, chunks):
-                outcomes.extend(chunk_outcomes)
-        return outcomes
+        extract = partial(_extract_one, self.paired, self.max_source_bytes)
+        if not self._parallel(sources):
+            return [extract(source) for source in sources]
+        return pool_map(extract, sources, self.n_workers, self.chunk_size)
 
     def extract(self, sources: list[str]) -> BatchFeatures:
         """One-pass feature extraction for a batch (both vector spaces)."""
@@ -350,7 +315,7 @@ class BatchInferenceEngine:
             raise ValueError("model-free engine (triage='only') cannot extract features")
         t0 = time.perf_counter()
         stats = BatchStats(files=len(sources), n_workers=self.n_workers)
-        outcomes: list[_Outcome | None] = [None] * len(sources)
+        outcomes: list[FileOutcome | None] = [None] * len(sources)
 
         # Dedupe by source hash: each distinct script is extracted at most
         # once per batch, and cached outcomes skip extraction entirely.
@@ -383,19 +348,19 @@ class BatchInferenceEngine:
         rows1: list[np.ndarray] = []
         rows2: list[np.ndarray] = []
         for index, outcome in enumerate(outcomes):
-            if outcome[0] == "ok":
-                ok_indices.append(index)
-                rows1.append(outcome[1])
-                rows2.append(outcome[2])
-                df_available.append(outcome[3])
-                flow_timeout.append(outcome[4])
-                findings.append(outcome[5])
-                if not outcome[3]:
-                    stats.df_timeouts += 1
-                if outcome[4]:
-                    stats.flow_timeouts += 1
-            else:
-                errors[index] = DetectionError(kind=outcome[1], message=outcome[2])
+            if outcome.error is not None:
+                errors[index] = outcome.error
+                continue
+            ok_indices.append(index)
+            rows1.append(outcome.vector1)
+            rows2.append(outcome.vector2)
+            df_available.append(outcome.df_available)
+            flow_timeout.append(outcome.flow_timeout)
+            findings.append(outcome.findings)
+            if not outcome.df_available:
+                stats.df_timeouts += 1
+            if outcome.flow_timeout:
+                stats.flow_timeouts += 1
         stats.ok = len(ok_indices)
         stats.errors = len(errors)
 
@@ -422,78 +387,17 @@ class BatchInferenceEngine:
             flow_timeout=flow_timeout,
         )
 
-    def extract_token_features(self, sources: list[str]) -> TokenBatchFeatures:
-        """Token-level fast path: one lexer scan per file, no AST.
-
-        Produces the :data:`~repro.features.fastpath.TOKEN_STATIC_FEATURES`
-        space (plus the hashed n-gram head) with the same per-file fault
-        isolation and oversize policy as :meth:`extract`, at a fraction of
-        the cost — the intended front end for crawl-scale pre-ranking and
-        triage-adjacent workloads.  Works on model-free engines too.
-        """
-        t0 = time.perf_counter()
-        extractor = self.token_extractor
-        stats = BatchStats(files=len(sources), n_workers=1)
-        ok_indices: list[int] = []
-        errors: dict[int, DetectionError] = {}
-        rows: list[np.ndarray] = []
-        for index, source in enumerate(sources):
-            if self.max_source_bytes is not None:
-                size = len(source.encode("utf-8", errors="replace"))
-                if size > self.max_source_bytes:
-                    errors[index] = DetectionError(
-                        "oversize",
-                        f"{size} bytes exceeds limit of {self.max_source_bytes}",
-                    )
-                    continue
-            try:
-                rows.append(extractor.extract(source))
-            except RecursionError:
-                errors[index] = DetectionError(
-                    "recursion", "token stream exceeds the recursion limit"
-                )
-            except (SyntaxError, ValueError) as error:  # LexerError
-                errors[index] = DetectionError(
-                    "parse", str(error) or type(error).__name__
-                )
-            except Exception as error:  # noqa: BLE001 - fault isolation
-                errors[index] = DetectionError(
-                    "internal", f"{type(error).__name__}: {error}"
-                )
-            else:
-                ok_indices.append(index)
-        stats.ok = len(ok_indices)
-        stats.errors = len(errors)
-        X = (
-            np.vstack(rows)
-            if rows
-            else np.zeros((0, extractor.n_features), dtype=np.float64)
-        )
-        stats.wall_time = time.perf_counter() - t0
-        stats.extract_time = stats.wall_time
-        return TokenBatchFeatures(X=X, ok_indices=ok_indices, errors=errors, stats=stats)
-
     def _run_deob(self, sources: list[str]) -> list:
         """Normalize a batch, fanning out across the worker pool when it pays.
 
-        Deobfuscation used to serialize on the calling (inference)
-        thread; with ``n_workers > 1`` it now runs inside the same
-        process-pool workers as feature extraction, with bit-identical
-        results to the serial path (gated in tests).  Engines built with
-        a custom rule engine keep the serial path — pool workers use the
-        shared default catalog.
+        With ``n_workers > 1`` deobfuscation runs inside process-pool
+        workers, with results bit-identical to the serial path (gated in
+        tests).  Engines built with a custom rule engine keep the serial
+        path, because pool workers use the shared default catalog.
         """
-        if self.n_workers == 1 or len(sources) < 2 or not self._default_rules:
+        if not self._parallel(sources) or not self._default_rules:
             return [self.deob_engine.run(source) for source in sources]
-        chunk_size = self.chunk_size or max(1, -(-len(sources) // (self.n_workers * 4)))
-        chunks = [
-            sources[i : i + chunk_size] for i in range(0, len(sources), chunk_size)
-        ]
-        results: list = []
-        with ProcessPoolExecutor(max_workers=self.n_workers) as executor:
-            for chunk_results in executor.map(_deob_chunk, chunks):
-                results.extend(chunk_results)
-        return results
+        return pool_map(_deob_one, sources, self.n_workers, self.chunk_size)
 
     # -- rules-only triage ------------------------------------------------------
 
@@ -504,11 +408,10 @@ class BatchInferenceEngine:
         from repro.detector.pipeline import DetectionResult
 
         if triage.error is not None:
-            kind, message = triage.error
             return DetectionResult(
                 level1=set(),
                 transformed=False,
-                error=DetectionError(kind=kind, message=message),
+                error=triage.error,
                 findings=triage.findings,
                 triaged=True,
             )

@@ -3,7 +3,8 @@
 ``TransformationDetector.train()`` reproduces the full §III-D protocol —
 regular collection, per-technique transformation, balanced sampling — and
 fits both levels.  ``classify()`` then runs a script through level 1 and,
-if transformed, level 2.  Models pickle cleanly for reuse.
+if transformed, level 2; ``batch_engine()`` does the same for batches.
+Models pickle cleanly for reuse.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.detector.batch import BatchInferenceEngine, BatchResult, DetectionError
+from repro.detector.batch import BatchInferenceEngine
 from repro.detector.level1 import Level1Detector
 from repro.detector.level2 import Level2Detector
 from repro.detector.training import TrainingData
 from repro.features.extractor import FeatureExtractor
+from repro.outcome import DetectionError
 from repro.rules.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -155,45 +157,21 @@ class TransformationDetector:
 
         ``deob=True`` normalizes the script through the deobfuscation
         pipeline first; the verdict then describes the normal form and
-        ``result.deob`` carries the normalized source and report.
+        ``result.deob`` carries the normalized source and report.  Batches
+        go through :meth:`batch_engine`.
         """
-        return self.classify_many([source], k=k, threshold=threshold, deob=deob)[0]
-
-    def classify_many(
-        self,
-        sources: list[str],
-        k: int = 4,
-        threshold: float = 0.10,
-        n_workers: int = 1,
-        deob: bool = False,
-    ) -> list[DetectionResult]:
-        """Classify a batch; level 2 runs only on level-1-flagged files.
-
-        Runs through the batch engine: each source is parsed exactly once
-        (both vector spaces are projected from one enhanced AST), invalid
-        files yield per-file error results instead of raising, and
-        ``n_workers > 1`` extracts features across a process pool.
-        """
-        return self.classify_batch(
-            sources, k=k, threshold=threshold, n_workers=n_workers, deob=deob
-        ).results
-
-    def classify_batch(
-        self,
-        sources: list[str],
-        k: int = 4,
-        threshold: float = 0.10,
-        n_workers: int = 1,
-        engine: BatchInferenceEngine | None = None,
-        deob: bool = False,
-    ) -> BatchResult:
-        """Like :meth:`classify_many` but also returns :class:`BatchStats`."""
-        if engine is None:
-            engine = BatchInferenceEngine(self, n_workers=n_workers)
-        return engine.classify(sources, k=k, threshold=threshold, deob=deob)
+        engine = self.batch_engine(cache_size=0)
+        return engine.classify([source], k=k, threshold=threshold, deob=deob)[0]
 
     def batch_engine(self, n_workers: int = 1, **kwargs) -> BatchInferenceEngine:
-        """A reusable engine bound to this detector (persistent LRU cache)."""
+        """An engine bound to this detector for batches.
+
+        Each source is parsed once (both vector spaces come from one
+        enhanced AST), invalid files yield per-file error results instead
+        of raising, and ``n_workers > 1`` extracts features across a
+        process pool.  The engine keeps an LRU feature cache across
+        :meth:`~BatchInferenceEngine.classify` calls.
+        """
         return BatchInferenceEngine(self, n_workers=n_workers, **kwargs)
 
     # -- persistence --------------------------------------------------------------

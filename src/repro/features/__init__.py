@@ -1,22 +1,13 @@
 """Feature extraction from enhanced ASTs (§III-B)."""
 
 from repro.features.extractor import FeatureExtractor, PairedFeatureExtractor
-from repro.features.fastpath import (
-    TOKEN_STATIC_FEATURES,
-    TokenFeatureExtractor,
-    compute_token_static_features,
-)
-from repro.features.ngrams import ast_ngram_vector, ast_unit_sequence, byte_ngram_vector
+from repro.features.ngrams import ast_ngram_vector, ast_unit_sequence
 from repro.features.static_features import compute_static_features
 
 __all__ = [
     "FeatureExtractor",
     "PairedFeatureExtractor",
-    "TOKEN_STATIC_FEATURES",
-    "TokenFeatureExtractor",
     "ast_ngram_vector",
     "ast_unit_sequence",
-    "byte_ngram_vector",
     "compute_static_features",
-    "compute_token_static_features",
 ]

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.features.fastpath import (  # noqa: F401 - fast-path re-export
-    TOKEN_STATIC_FEATURES,
-    TokenFeatureExtractor,
-)
 from repro.features.flow_features import FLOW_FEATURES, compute_flow_features
-from repro.features.ngrams import ast_ngram_vector, hashed_ngram_vector
+from repro.features.ngrams import hashed_ngram_vector
 from repro.features.rule_features import RULE_FEATURES, compute_rule_features
 from repro.features.static_features import compute_static_features
 from repro.flows.graph import EnhancedAST, enhance
+from repro.outcome import FileOutcome
 from repro.rules.findings import Finding
 
 # Hand-picked features for distinguishing regular from transformed code.
@@ -123,16 +120,12 @@ class FeatureExtractor:
         level: int = 1,
         ngram_dims: int = 256,
         data_flow_timeout: float = 120.0,
-        ngram_source: str = "ast",
     ) -> None:
         if level not in (1, 2):
             raise ValueError("level must be 1 or 2")
-        if ngram_source not in ("ast", "tokens"):
-            raise ValueError("ngram_source must be 'ast' or 'tokens'")
         self.level = level
         self.ngram_dims = ngram_dims
         self.data_flow_timeout = data_flow_timeout
-        self.ngram_source = ngram_source
         self.static_names = (
             list(GENERIC_FEATURES) if level == 1 else list(TECHNIQUE_FEATURES)
         )
@@ -147,16 +140,12 @@ class FeatureExtractor:
         return [f"ngram_{i}" for i in range(self.ngram_dims)] + self.static_names
 
     def ngram_block(self, enhanced: EnhancedAST) -> np.ndarray:
-        """The hashed n-gram block of the vector (first ``ngram_dims`` dims)."""
-        if self.ngram_source == "tokens":
-            from repro.features.ngrams import token_ngram_vector
+        """The hashed n-gram block of the vector (first ``ngram_dims`` dims).
 
-            return token_ngram_vector(enhanced.tokens, n_dims=self.ngram_dims)
-        if enhanced.flat is not None:
-            # The flat index's pre-order type-name array *is* the unit
-            # sequence — no second tree walk.
-            return hashed_ngram_vector(enhanced.flat.type_names, n_dims=self.ngram_dims)
-        return ast_ngram_vector(enhanced.program, n_dims=self.ngram_dims)
+        The flat index's pre-order type-name array *is* the unit sequence,
+        so no second tree walk is needed.
+        """
+        return hashed_ngram_vector(enhanced.flat.type_names, n_dims=self.ngram_dims)
 
     def project(
         self,
@@ -230,21 +219,25 @@ class PairedFeatureExtractor:
         # per-AST cache makes this second read free in that case.
         static.update(compute_flow_features(enhanced.interproc()))
         ngrams1 = self.level1.ngram_block(enhanced)
-        shares_ngrams = (
-            self.level1.ngram_dims == self.level2.ngram_dims
-            and self.level1.ngram_source == self.level2.ngram_source
+        ngrams2 = (
+            ngrams1
+            if self.level1.ngram_dims == self.level2.ngram_dims
+            else self.level2.ngram_block(enhanced)
         )
-        ngrams2 = ngrams1 if shares_ngrams else self.level2.ngram_block(enhanced)
         return (
             self.level1.project(enhanced, static, ngrams1),
             self.level2.project(enhanced, static, ngrams2),
             findings,
         )
 
-    def extract_pair(
-        self, source: str
-    ) -> tuple[np.ndarray, np.ndarray, bool, bool, list[Finding]]:
-        """One-pass extraction: (v1, v2, df_available, flow_timeout, findings)."""
+    def extract_pair(self, source: str) -> FileOutcome:
+        """One-pass extraction of both vectors (raises on invalid JS)."""
         enhanced = enhance(source, data_flow_timeout=self.data_flow_timeout)
-        v1, v2, findings = self.extract_pair_from_enhanced(enhanced)
-        return v1, v2, enhanced.data_flow_available, enhanced.flow_timeout, findings
+        vector1, vector2, findings = self.extract_pair_from_enhanced(enhanced)
+        return FileOutcome(
+            vector1=vector1,
+            vector2=vector2,
+            df_available=enhanced.data_flow_available,
+            flow_timeout=enhanced.flow_timeout,
+            findings=findings,
+        )

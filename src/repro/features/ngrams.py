@@ -31,65 +31,6 @@ def ast_unit_sequence(program: Node) -> list[str]:
     return sequence
 
 
-def token_unit_sequence(tokens) -> list[str]:
-    """Lexical-unit sequence (CUJO-style [39]): token categories, with
-    punctuators and keywords kept verbatim since they carry structure."""
-    from repro.js.tokens import TokenType
-
-    sequence: list[str] = []
-    for token in tokens:
-        if token.type is TokenType.EOF:
-            continue
-        if token.type in (TokenType.PUNCTUATOR, TokenType.KEYWORD):
-            sequence.append(token.value)
-        else:
-            sequence.append(token.type.value)
-    return sequence
-
-
-def token_ngram_vector(
-    tokens,
-    n: int = 4,
-    n_dims: int = 512,
-    max_units: int = 200_000,
-) -> np.ndarray:
-    """Hashed n-gram vector over lexical units instead of AST units.
-
-    Provided for the ablation against the paper's AST 4-grams (related
-    work CUJO models reports with lexical n-grams)."""
-    sequence = token_unit_sequence(tokens)
-    return _hashed_ngrams(sequence, n, n_dims, max_units)
-
-
-def byte_ngram_vector(
-    source: str,
-    n_dims: int = 512,
-    max_bytes: int = 1_000_000,
-) -> np.ndarray:
-    """Hashed byte 4-gram vector, fully vectorised (no tokenization).
-
-    The cheapest head for the lexer fast path: pack each 4-byte window of
-    the UTF-8 encoding into a 32-bit word, Fibonacci-hash it, and bucket
-    with one ``bincount``.  Works on any input, including files the lexer
-    rejects.
-    """
-    data = source.encode("utf-8", errors="replace")[:max_bytes]
-    vector = np.zeros(n_dims, dtype=np.float64)
-    if len(data) < 4 or n_dims <= 0:
-        return vector
-    raw = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
-    words = raw[:-3] | (raw[1:-2] << 8) | (raw[2:-1] << 16) | (raw[3:] << 24)
-    # Knuth's multiplicative hash; mask keeps the product in 32 bits so the
-    # high half carries the mixed bits.
-    buckets = (((words * 2654435761) & 0xFFFFFFFF) >> 16) % n_dims
-    counts = np.bincount(buckets.astype(np.int64), minlength=n_dims)
-    vector += counts
-    total = vector.sum()
-    if total > 0:
-        vector /= total
-    return vector
-
-
 def ast_ngram_vector(
     program: Node,
     n: int = 4,
@@ -121,8 +62,8 @@ def hashed_ngram_vector(
 
 #: ``(n, n_dims) -> {gram tuple -> bucket}``.  The universe of AST-type
 #: n-grams is small (node types, not identifiers), so the crc32 bucketing
-#: is memoized process-wide; the cap is a safety valve for open-ended
-#: unit alphabets (token n-grams over raw punctuator values).
+#: is memoized process-wide; the cap bounds the cache on pathological
+#: inputs with unusually many distinct grams.
 _BUCKET_CACHE: dict[tuple[int, int], dict[tuple[str, ...], int]] = {}
 _BUCKET_CACHE_MAX = 1 << 16
 

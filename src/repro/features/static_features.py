@@ -20,9 +20,9 @@ import re
 from collections import Counter
 
 from repro.flows.graph import EnhancedAST
-from repro.js.ast_nodes import Node, iter_child_nodes
+from repro.js.ast_nodes import Node
+from repro.js.lexer import summarize_tokens
 from repro.js.tokens import TokenType
-from repro.js.visitor import walk
 
 _HEX_NAME_RE = re.compile(r"^_0x[0-9a-fA-F]+$")
 
@@ -108,32 +108,32 @@ def _safe_div(numerator: float, denominator: float) -> float:
 def compute_static_features(enhanced: EnhancedAST) -> dict[str, float]:
     """All hand-picked features for one enhanced AST, keyed by name."""
     source = enhanced.source
-    program = enhanced.program
     features: dict[str, float] = {}
 
     # ---- source text ------------------------------------------------------
+    # str.count / map(str.isalnum) keep the per-character scans in C; the
+    # integer counts equal per-character loops, so the ratios are exact.
     n_chars = len(source)
     lines = source.split("\n")
     n_lines = len(lines)
     features["src_chars"] = float(n_chars)
     features["src_lines"] = float(n_lines)
     features["src_avg_line_length"] = _safe_div(n_chars, n_lines)
-    features["src_max_line_length"] = float(max((len(l) for l in lines), default=0))
-    whitespace = sum(1 for ch in source if ch in " \t\n\r")
+    features["src_max_line_length"] = float(max(map(len, lines), default=0))
+    whitespace = sum(map(source.count, " \t\n\r"))
     features["src_whitespace_ratio"] = _safe_div(whitespace, n_chars)
-    alnum = sum(1 for ch in source if ch.isalnum())
+    alnum = sum(map(str.isalnum, source))
     features["src_non_alnum_ratio"] = 1.0 - _safe_div(alnum, n_chars)
-    jsfuck_chars = sum(1 for ch in source if ch in "[]()!+")
+    jsfuck_chars = sum(map(source.count, "[]()!+"))
     features["src_jsfuck_char_ratio"] = _safe_div(jsfuck_chars, n_chars)
-    comment_chars = sum(len(c.value) for c in enhanced.comments)
-    features["src_comment_ratio"] = _safe_div(comment_chars, n_chars)
-    features["src_comments_per_line"] = _safe_div(len(enhanced.comments), n_lines)
+    summary = summarize_tokens(enhanced.tokens, enhanced.comments)
+    features["src_comment_ratio"] = _safe_div(summary.comment_chars, n_chars)
+    features["src_comments_per_line"] = _safe_div(summary.n_comments, n_lines)
 
     # ---- tokens -----------------------------------------------------------
-    tokens = [t for t in enhanced.tokens if t.type is not TokenType.EOF]
-    n_tokens = len(tokens)
+    n_tokens = summary.n_tokens
+    by_type = summary.type_counts
     features["tok_per_char"] = _safe_div(n_tokens, n_chars)
-    by_type = Counter(t.type for t in tokens)
     for token_type, key in (
         (TokenType.IDENTIFIER, "tok_identifier_ratio"),
         (TokenType.PUNCTUATOR, "tok_punctuator_ratio"),
@@ -144,15 +144,12 @@ def compute_static_features(enhanced: EnhancedAST) -> dict[str, float]:
     ):
         features[key] = _safe_div(by_type.get(token_type, 0), n_tokens)
 
-    string_tokens = [t for t in tokens if t.type is TokenType.STRING]
-    string_chars = sum(len(t.value) for t in string_tokens)
-    escape_chars = sum(t.value.count("\\") for t in string_tokens)
-    features["str_chars_ratio"] = _safe_div(string_chars, n_chars)
-    features["str_escape_density"] = _safe_div(escape_chars, string_chars)
-    features["str_avg_length"] = _safe_div(string_chars, len(string_tokens))
-    features["str_max_length"] = float(
-        max((len(t.value) for t in string_tokens), default=0)
+    features["str_chars_ratio"] = _safe_div(summary.string_chars, n_chars)
+    features["str_escape_density"] = _safe_div(
+        summary.escape_chars, summary.string_chars
     )
+    features["str_avg_length"] = _safe_div(summary.string_chars, summary.n_strings)
+    features["str_max_length"] = float(summary.max_string_len)
 
     # ---- AST shape ---------------------------------------------------------
     identifier_nodes: list[Node] = []
@@ -166,97 +163,52 @@ def compute_static_features(enhanced: EnhancedAST) -> dict[str, float]:
     ifs: list[Node] = []
     declarators: list[Node] = []
     bang_number = 0
+    # Counts, depth, and breadth reduce to C-speed Counter/max scans over
+    # the flat index's pre-order arrays; one zip loop collects the
+    # per-type work lists.
     flat = enhanced.flat
-    if flat is not None:
-        # Flat fast path: counts, depth, and breadth reduce to C-speed
-        # Counter/max scans over the pre-order arrays; one zip loop
-        # collects the per-type work lists.
-        type_names = flat.type_names
-        depths = flat.depths
-        n_nodes = len(type_names)
-        node_counts = Counter(type_names)
-        level_width = Counter(depths)
-        max_depth = max(depths) if n_nodes else 0
-        buckets = {
-            "Identifier": identifier_nodes.append,
-            "ArrayExpression": arrays.append,
-            "ObjectExpression": objects.append,
-            "SequenceExpression": sequences.append,
-            "MemberExpression": members.append,
-            "CallExpression": calls.append,
-            "NewExpression": calls.append,
-            "WhileStatement": loops.append,
-            "DoWhileStatement": loops.append,
-            "ForStatement": loops.append,
-            "IfStatement": ifs.append,
-            "VariableDeclarator": declarators.append,
-        }
-        buckets_get = buckets.get
-        for node, kind in zip(flat.nodes, type_names):
-            append = buckets_get(kind)
-            if append is not None:
-                append(node)
-            elif kind == "Literal":
-                if isinstance(node.value, str):
-                    string_literals.append(node)
-            elif (
-                kind == "UnaryExpression"
-                and node.operator == "!"
-                and node.argument.type == "Literal"
-                and isinstance(node.argument.value, (int, float))
-            ):
-                bang_number += 1
-        # The traversal fallback below visits children right-to-left, so
-        # leaf nodes arrive in reverse document order there.  Identifiers
-        # and string literals feed order-sensitive float sums (the entropy
-        # features); reversing the pre-order collections restores the
-        # legacy summation order so both paths stay bit-identical.
-        identifier_nodes.reverse()
-        string_literals.reverse()
-    else:
-        node_counts = Counter()
-        n_nodes = 0
-        max_depth = 0
-        level_width = Counter()
-        stack: list[tuple[Node, int]] = [(program, 0)]
-        while stack:
-            node, depth = stack.pop()
-            n_nodes += 1
-            kind = node.type
-            node_counts[kind] += 1
-            level_width[depth] += 1
-            if depth > max_depth:
-                max_depth = depth
-            if kind == "Identifier":
-                identifier_nodes.append(node)
-            elif kind == "Literal":
-                if isinstance(node.value, str):
-                    string_literals.append(node)
-            elif kind == "ArrayExpression":
-                arrays.append(node)
-            elif kind == "ObjectExpression":
-                objects.append(node)
-            elif kind == "SequenceExpression":
-                sequences.append(node)
-            elif kind == "MemberExpression":
-                members.append(node)
-            elif kind in ("CallExpression", "NewExpression"):
-                calls.append(node)
-            elif kind in ("WhileStatement", "DoWhileStatement", "ForStatement"):
-                loops.append(node)
-            elif kind == "IfStatement":
-                ifs.append(node)
-            elif kind == "VariableDeclarator":
-                declarators.append(node)
-            elif (
-                kind == "UnaryExpression"
-                and node.operator == "!"
-                and node.argument.type == "Literal"
-                and isinstance(node.argument.value, (int, float))
-            ):
-                bang_number += 1
-            for child in iter_child_nodes(node):
-                stack.append((child, depth + 1))
+    type_names = flat.type_names
+    depths = flat.depths
+    n_nodes = len(type_names)
+    node_counts = Counter(type_names)
+    level_width = Counter(depths)
+    max_depth = max(depths) if n_nodes else 0
+    buckets = {
+        "Identifier": identifier_nodes.append,
+        "ArrayExpression": arrays.append,
+        "ObjectExpression": objects.append,
+        "SequenceExpression": sequences.append,
+        "MemberExpression": members.append,
+        "CallExpression": calls.append,
+        "NewExpression": calls.append,
+        "WhileStatement": loops.append,
+        "DoWhileStatement": loops.append,
+        "ForStatement": loops.append,
+        "IfStatement": ifs.append,
+        "VariableDeclarator": declarators.append,
+    }
+    buckets_get = buckets.get
+    for node, kind in zip(flat.nodes, type_names):
+        append = buckets_get(kind)
+        if append is not None:
+            append(node)
+        elif kind == "Literal":
+            if isinstance(node.value, str):
+                string_literals.append(node)
+        elif (
+            kind == "UnaryExpression"
+            and node.operator == "!"
+            and node.argument.type == "Literal"
+            and isinstance(node.argument.value, (int, float))
+        ):
+            bang_number += 1
+    # Identifiers and string literals feed order-sensitive float sums (the
+    # entropy features).  The features were defined over a stack walk that
+    # visits children right-to-left, so leaves arrived in reverse document
+    # order; reversing the pre-order collections keeps those sums
+    # bit-identical to that definition (and to tests/reference_parser.py).
+    identifier_nodes.reverse()
+    string_literals.reverse()
     max_breadth = max(level_width.values()) if level_width else 0
 
     features["ast_nodes"] = float(n_nodes)
@@ -471,7 +423,3 @@ def _attach_declarator_info(declarators: list[Node]) -> None:
         elif init.type == "CallExpression" and len(init.arguments) == 1 and init.arguments[0].type == "Literal":
             target.decl_init_kind = "indexed"
 
-
-def attach_declarator_info(program: Node) -> None:
-    """Public wrapper over :func:`_attach_declarator_info` for a whole tree."""
-    _attach_declarator_info([n for n in walk(program) if n.type == "VariableDeclarator"])

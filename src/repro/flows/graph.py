@@ -26,12 +26,11 @@ class EnhancedAST:
     tokens: list[Token]
     comments: list[Token]
     scope: Scope
+    #: Pre-order flat arrays over ``program`` (node pool, type ids/names,
+    #: parents, depths), built once at parse time.
+    flat: FlatIndex
     control_flow: list[ControlFlowEdge] = field(default_factory=list)
     data_flow: list[DataFlowEdge] | None = None
-    #: Pre-order flat arrays over ``program`` (node pool, type ids/names,
-    #: parents, depths).  ``None`` for hand-assembled instances; feature
-    #: extraction falls back to tree traversal in that case.
-    flat: FlatIndex | None = None
     #: True when a flow analysis (DFG timeout or interproc budget breach)
     #: silently degraded for this file.  Threaded through
     #: ``DetectionResult``, scan store records, and serve ``/metrics``.
@@ -65,11 +64,7 @@ class EnhancedAST:
 
     @property
     def node_count(self) -> int:
-        if self.flat is not None:
-            return len(self.flat)
-        from repro.js.visitor import count_nodes
-
-        return count_nodes(self.program)
+        return len(self.flat)
 
 
 def enhance(source: str, data_flow_timeout: float = 120.0) -> EnhancedAST:

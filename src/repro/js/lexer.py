@@ -13,19 +13,15 @@ the ``)``-before-``/`` ambiguity), and both comment styles.  Comments are
 collected separately so feature extraction can measure comment density
 while the parser sees clean input.
 
-The module also exposes the opt-in single-pass "features-without-full-AST"
-mode: :func:`scan_summary` folds the token stream into a
-:class:`TokenSummary` (per-type counts, identifier spellings, string
-statistics, hashed token n-gram buckets) in the same pass, so
-triage-adjacent workloads get token-level feature vectors without ever
-parsing (wired through ``repro.features.extractor.TokenFeatureExtractor``
-and ``BatchInferenceEngine.extract_token_features``).
+:func:`summarize_tokens` folds a token stream into a :class:`TokenSummary`
+(per-type counts, identifier spellings, string and comment statistics).
+The token-stage rules read it without parsing, and the static features
+take their ``src_*``/``tok_*``/``str_*`` block from it.
 """
 
 from __future__ import annotations
 
 import re
-from zlib import crc32
 
 from repro.js.tokens import (
     KEYWORDS,
@@ -1334,16 +1330,15 @@ def split_template(raw: str) -> tuple[list[str], list[str]]:
     return chunks, exprs
 
 
-# -- single-pass token summary (features-without-full-AST mode) ---------------
+# -- single-pass token summary ------------------------------------------------
 
 
 class TokenSummary:
     """Token-level aggregates folded out of one scan, no AST required.
 
-    Everything the token-stage rules and the fast feature path consume:
-    per-type counts, identifier spellings, string statistics, comment
-    mass, and (optionally) hashed token n-gram bucket counts identical to
-    :func:`repro.features.ngrams.token_ngram_vector`.
+    Everything the token-stage rules and the static features' ``src_*``/
+    ``tok_*``/``str_*`` block consume: per-type counts, identifier
+    spellings, string statistics, and comment mass.
     """
 
     __slots__ = (
@@ -1356,12 +1351,9 @@ class TokenSummary:
         "max_string_len",
         "comment_chars",
         "n_comments",
-        "ngram_dims",
-        "ngram_counts",
-        "ngram_total",
     )
 
-    def __init__(self, ngram_dims: int = 0) -> None:
+    def __init__(self) -> None:
         self.n_tokens = 0
         self.type_counts: dict[TokenType, int] = {}
         self.identifier_values: list[str] = []
@@ -1371,82 +1363,39 @@ class TokenSummary:
         self.max_string_len = 0
         self.comment_chars = 0
         self.n_comments = 0
-        self.ngram_dims = ngram_dims
-        self.ngram_counts: list[int] = [0] * ngram_dims if ngram_dims else []
-        self.ngram_total = 0
-
-
-#: Unit cap shared with :func:`repro.features.ngrams._hashed_ngrams`.
-_NGRAM_MAX_UNITS = 200_000
 
 
 def summarize_tokens(
     tokens: list[Token],
     comments: list[Token] | None = None,
-    ngram_dims: int = 0,
 ) -> TokenSummary:
-    """Fold a token stream into a :class:`TokenSummary` in one pass.
-
-    With ``ngram_dims > 0`` the hashed token 4-gram bucket counts are
-    accumulated in the same loop (bit-identical, after normalisation, to
-    ``token_ngram_vector(tokens, n_dims=ngram_dims)``).
-    """
-    summary = TokenSummary(ngram_dims=ngram_dims)
+    """Fold a token stream (EOF skipped) into a :class:`TokenSummary`."""
+    summary = TokenSummary()
     counts = summary.type_counts
     identifiers = summary.identifier_values
-    buckets = summary.ngram_counts
     eof = TokenType.EOF
     identifier = TokenType.IDENTIFIER
-    punctuator = TokenType.PUNCTUATOR
-    keyword = TokenType.KEYWORD
     string = TokenType.STRING
-    units = 0
-    label1 = label2 = label3 = ""
     for token in tokens:
         kind = token.type
         if kind is eof:
             continue
         counts[kind] = counts.get(kind, 0) + 1
-        value = token.value
         if kind is identifier:
-            identifiers.append(value)
-            label = "Identifier"
-        elif kind is punctuator or kind is keyword:
-            label = value
+            identifiers.append(token.value)
         elif kind is string:
+            value = token.value
             size = len(value)
             summary.string_chars += size
             summary.escape_chars += value.count("\\")
             if size > summary.max_string_len:
                 summary.max_string_len = size
-            label = "String"
-        else:
-            label = kind.value
-        if ngram_dims:
-            units += 1
-            if units >= 4 and units <= _NGRAM_MAX_UNITS:
-                gram = f"{label1}\x00{label2}\x00{label3}\x00{label}"
-                buckets[crc32(gram.encode("utf-8")) % ngram_dims] += 1
-                summary.ngram_total += 1
-            label1, label2, label3 = label2, label3, label
     summary.n_tokens = sum(counts.values())
     summary.n_strings = counts.get(string, 0)
     if comments:
         summary.n_comments = len(comments)
         summary.comment_chars = sum(len(comment.value) for comment in comments)
     return summary
-
-
-def scan_summary(source: str, ngram_dims: int = 0) -> TokenSummary:
-    """Tokenize ``source`` and fold the stream in the same pass.
-
-    The single-pass fast path for triage-adjacent workloads: one scan
-    produces the token-level aggregates (and optional n-gram buckets)
-    without building an AST, scopes, or flow graphs.
-    """
-    lexer = Lexer(source)
-    tokens = lexer.scan_all()
-    return summarize_tokens(tokens, lexer.comments, ngram_dims=ngram_dims)
 
 
 def tokenize(source: str, include_comments: bool = False) -> list[Token]:

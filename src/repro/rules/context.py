@@ -17,6 +17,7 @@ from repro.flows.cfg import build_control_flow
 from repro.flows.dfg import build_data_flow
 from repro.flows.graph import EnhancedAST
 from repro.js.ast_nodes import Node, iter_child_nodes
+from repro.js.flat import build_flat_index
 from repro.js.parser import Parser
 from repro.js.scope import analyze_scopes
 from repro.js.tokens import Token, TokenType
@@ -99,6 +100,7 @@ class RuleContext:
         if self._enhanced is None:
             parser = Parser(self.source)
             program = parser.parse_program()
+            flat = build_flat_index(program)
             scope = analyze_scopes(program)
             control_flow = build_control_flow(program)
             data_flow = (
@@ -114,6 +116,7 @@ class RuleContext:
                 scope=scope,
                 control_flow=control_flow,
                 data_flow=data_flow,
+                flat=flat,
                 flow_timeout=self._data_flow and data_flow is None,
             )
             self._tokens = self._enhanced.tokens

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.flows.graph import EnhancedAST
 from repro.js.tokens import TokenType
+from repro.outcome import RECURSION_TOKENS, DetectionError, detection_error
 from repro.rules.base import STAGE_AST, STAGE_TEXT, STAGE_TOKENS, Rule, stage_order
 from repro.rules.catalog import DEFAULT_RULES
 from repro.rules.context import RuleContext
@@ -72,14 +73,13 @@ class TriageResult:
     fired and the caller may skip full feature extraction.  ``stage``
     records the deepest analysis layer that was built (``text`` <
     ``tokens`` < ``ast``) — the cost actually paid.  ``error`` is set
-    when the file could not be lexed/parsed at the stage it needed
-    (``(kind, message)`` in the batch engine's vocabulary).
+    when the file could not be lexed/parsed at the stage it needed.
     """
 
     findings: list[Finding] = field(default_factory=list)
     stage: str = STAGE_TEXT
     decided: bool = False
-    error: tuple[str, str] | None = None
+    error: DetectionError | None = None
 
     @property
     def techniques(self) -> dict[str, float]:
@@ -152,11 +152,8 @@ class RuleEngine:
             return result
         try:
             ctx.tokens
-        except RecursionError:
-            result.error = ("recursion", "token stream exceeds the recursion limit")
-            return result
-        except (SyntaxError, ValueError) as error:
-            result.error = ("parse", str(error) or type(error).__name__)
+        except Exception as error:  # noqa: BLE001 - triage must not raise
+            result.error = detection_error(error, RECURSION_TOKENS)
             return result
         result.stage = STAGE_TOKENS
         result.findings.extend(self._evaluate(ctx, self._by_stage[STAGE_TOKENS]))
@@ -168,14 +165,8 @@ class RuleEngine:
             return result
         try:
             ctx.enhanced
-        except RecursionError:
-            result.error = ("recursion", "AST nesting exceeds the recursion limit")
-            return result
-        except (SyntaxError, ValueError) as error:
-            result.error = ("parse", str(error) or type(error).__name__)
-            return result
         except Exception as error:  # noqa: BLE001 - triage must not raise
-            result.error = ("internal", f"{type(error).__name__}: {error}")
+            result.error = detection_error(error)
             return result
         result.stage = STAGE_AST
         result.findings.extend(self._evaluate(ctx, self._by_stage[STAGE_AST]))

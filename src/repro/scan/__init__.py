@@ -18,16 +18,16 @@ Layers (see DESIGN.md §12):
 - :mod:`repro.scan.coordinator` — manifest sharding and work-stealing
   dispatch across a process pool;
 - :mod:`repro.scan.merge` — deterministic fold of store records into
-  the corpus-prevalence report the longitudinal analysis consumes;
-- :mod:`repro.scan.progress` — serve-style metrics counters for scan
-  progress (deliberately independent of ``repro.serve``; the lint gate
-  keeps this package from ever importing the serving layer).
+  the corpus-prevalence report the longitudinal analysis consumes.
+
+Scan progress is counted in a :class:`repro.obs.MetricsRegistry`, the same
+leaf-module registry ``serve`` uses; a lint gate keeps this package from
+ever importing the serving layer.
 """
 
 from repro.scan.coordinator import ScanConfig, ScanCoordinator, ScanStats
 from repro.scan.manifest import ExternalRef, IngestError, ScanUnit, iter_ingest
 from repro.scan.merge import merge_scan, write_report
-from repro.scan.progress import ScanMetrics
 from repro.scan.store import ResultStore
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "ResultStore",
     "ScanConfig",
     "ScanCoordinator",
-    "ScanMetrics",
     "ScanStats",
     "ScanUnit",
     "iter_ingest",

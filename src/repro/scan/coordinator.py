@@ -33,8 +33,8 @@ from typing import Any, Callable
 
 from repro.corpus.filters import MAX_BYTES
 from repro.detector.level2 import DEFAULT_K, DEFAULT_THRESHOLD
+from repro.obs import MetricsRegistry
 from repro.scan.manifest import ScanUnit, iter_ingest
-from repro.scan.progress import ScanMetrics
 from repro.scan.store import ResultStore
 from repro.scan.worker import (
     ShardOutcome,
@@ -66,7 +66,7 @@ class ScanConfig:
     threshold: float = DEFAULT_THRESHOLD
     max_source_bytes: int | None = MAX_BYTES
     checkpoint_every: int = 32
-    on_shard: Callable[[ShardOutcome, ScanMetrics], Any] | None = None
+    on_shard: Callable[[ShardOutcome, MetricsRegistry], Any] | None = None
 
 
 @dataclass
@@ -118,9 +118,9 @@ def _digest_file(path: str | Path) -> str:
 class ScanCoordinator:
     """Drive one scan run: ingest → dedupe → probe store → shard → merge-ready."""
 
-    def __init__(self, config: ScanConfig, metrics: ScanMetrics | None = None) -> None:
+    def __init__(self, config: ScanConfig, metrics: MetricsRegistry | None = None) -> None:
         self.config = config
-        self.metrics = metrics or ScanMetrics()
+        self.metrics = metrics or MetricsRegistry()
         self.store = ResultStore(config.store)
         self.worker_config = WorkerConfig(
             store_root=str(config.store),

@@ -2,19 +2,19 @@
 
 A stdlib-only asyncio HTTP/1.1 server that keeps a trained
 :class:`~repro.detector.pipeline.TransformationDetector` warm and
-answers ``POST /classify`` with micro-batched inference:
+answers ``POST /classify`` with micro-batched inference.  Counters,
+gauges and histograms live in :class:`repro.obs.MetricsRegistry`.
 
 - :mod:`repro.serve.protocol` — hand-rolled HTTP parsing with hard caps,
-- :mod:`repro.serve.metrics` — thread-safe counters/gauges/histograms,
 - :mod:`repro.serve.registry` — model ownership, leases, hot-reload,
 - :mod:`repro.serve.batcher` — bounded-queue micro-batching collector,
 - :mod:`repro.serve.server` — routing, drain, and the CLI entry point,
 - :mod:`repro.serve.client` — a small blocking client helper.
 """
 
+from repro.obs import MetricsRegistry
 from repro.serve.batcher import BatcherClosedError, MicroBatcher, QueueFullError
 from repro.serve.client import ServeAPIError, ServeClient
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.registry import LoadedModel, ModelRegistry
 from repro.serve.server import (
     DetectionServer,

@@ -21,9 +21,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
-from repro.detector.batch import DetectionError
 from repro.detector.level2 import DEFAULT_K, DEFAULT_THRESHOLD
-from repro.serve.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry
+from repro.outcome import DetectionError
 from repro.serve.registry import ModelRegistry
 
 

@@ -22,7 +22,7 @@ from repro.detector.pipeline import (
     ModelFormatError,
     TransformationDetector,
 )
-from repro.serve.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry
 
 
 @dataclass

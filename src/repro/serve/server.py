@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 from repro.detector.pipeline import DetectionResult, ModelFormatError
 from repro.detector.level2 import DEFAULT_K, DEFAULT_THRESHOLD
+from repro.obs import MetricsRegistry
 from repro.serve.batcher import BatcherClosedError, MicroBatcher, QueueFullError
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.protocol import (
     DEFAULT_MAX_BODY,
     ProtocolError,

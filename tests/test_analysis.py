@@ -1,8 +1,7 @@
-"""Tests for the analysis layer: waves, reports, validation, token n-grams."""
+"""Tests for the analysis layer: waves, reports, validation."""
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.analysis import analyze_file, cluster_waves, structural_fingerprint
@@ -12,9 +11,6 @@ from repro.analysis.waves import (
     wave_statistics_from_fingerprints,
 )
 from repro.detector.validation import compare_strategies, select_strategy
-from repro.features import FeatureExtractor
-from repro.features.ngrams import token_ngram_vector, token_unit_sequence
-from repro.js.lexer import tokenize
 from repro.transform import get_transformer
 
 
@@ -216,28 +212,6 @@ class TestFileReport:
         report = analyze_file(regular_corpus[0], trained_detector, data_flow_timeout=7.5)
         assert report.admissible
         assert seen["timeout"] == 7.5
-
-
-class TestTokenNgrams:
-    def test_sequence_categories(self):
-        sequence = token_unit_sequence(tokenize("var x = 1;"))
-        assert sequence == ["var", "Identifier", "=", "Numeric", ";"]
-
-    def test_vector_normalised(self):
-        vector = token_ngram_vector(tokenize("f(a, b); g(c); h(d); k(e);"))
-        assert vector.sum() == pytest.approx(1.0)
-
-    def test_extractor_token_mode(self, sample_source):
-        ast_mode = FeatureExtractor(level=1, ngram_dims=64)
-        token_mode = FeatureExtractor(level=1, ngram_dims=64, ngram_source="tokens")
-        a = ast_mode.extract(sample_source)
-        b = token_mode.extract(sample_source)
-        assert a.shape == b.shape
-        assert not np.array_equal(a[:64], b[:64])
-
-    def test_invalid_source_mode(self):
-        with pytest.raises(ValueError):
-            FeatureExtractor(ngram_source="bytes")
 
 
 class TestValidation:

@@ -30,21 +30,24 @@ class TestPairedExtractor:
             trained_detector.level1.extractor, trained_detector.level2.extractor
         )
         for source in mixed_sources[:3]:
-            v1, v2, df_available, flow_timeout, findings = paired.extract_pair(source)
-            assert np.array_equal(v1, trained_detector.level1.extractor.extract(source))
-            assert np.array_equal(v2, trained_detector.level2.extractor.extract(source))
-            assert df_available is True
-            assert flow_timeout is False
-            assert isinstance(findings, list)
+            outcome = paired.extract_pair(source)
+            extract1 = trained_detector.level1.extractor.extract
+            extract2 = trained_detector.level2.extractor.extract
+            assert np.array_equal(outcome.vector1, extract1(source))
+            assert np.array_equal(outcome.vector2, extract2(source))
+            assert outcome.ok
+            assert outcome.df_available is True
+            assert outcome.flow_timeout is False
+            assert isinstance(outcome.findings, list)
 
     def test_distinct_ngram_dims_supported(self, sample_source):
         paired = PairedFeatureExtractor(
             FeatureExtractor(level=1, ngram_dims=64),
             FeatureExtractor(level=2, ngram_dims=128),
         )
-        v1, v2, _df, _flow_timeout, _findings = paired.extract_pair(sample_source)
-        assert v1.shape[0] == paired.level1.n_features
-        assert v2.shape[0] == paired.level2.n_features
+        outcome = paired.extract_pair(sample_source)
+        assert outcome.vector1.shape[0] == paired.level1.n_features
+        assert outcome.vector2.shape[0] == paired.level2.n_features
 
 
 class TestSinglePass:
@@ -62,7 +65,7 @@ class TestSinglePass:
             return original(self)
 
         monkeypatch.setattr(parser_mod.Parser, "parse_program", counting)
-        results = trained_detector.classify_many(mixed_sources)
+        results = trained_detector.batch_engine().classify(mixed_sources)
         # At least one transformed file means the old double-parse path
         # would have counted strictly more than len(mixed_sources).
         assert any(r.transformed for r in results)
@@ -95,8 +98,8 @@ class TestParallelEquivalence:
         assert np.array_equal(fs.X2, fp.X2)
 
     def test_parallel_labels_match_serial(self, trained_detector, mixed_sources):
-        serial = trained_detector.classify_many(mixed_sources, n_workers=1)
-        parallel = trained_detector.classify_many(mixed_sources, n_workers=2)
+        serial = trained_detector.batch_engine(n_workers=1).classify(mixed_sources)
+        parallel = trained_detector.batch_engine(n_workers=2).classify(mixed_sources)
         assert len(serial) == len(parallel)
         for a, b in zip(serial, parallel):
             assert a.level1 == b.level1
@@ -151,7 +154,7 @@ class TestFaultIsolation:
         )
 
     def test_batch_completes_with_per_file_errors(self, trained_detector, faulty_batch):
-        result = trained_detector.classify_batch(faulty_batch)
+        result = trained_detector.batch_engine().classify(faulty_batch)
         assert len(result) == 5
         assert result[1].error is not None and result[1].error.kind == "parse"
         assert result[3].error is not None and result[3].error.kind == "oversize"
@@ -161,8 +164,8 @@ class TestFaultIsolation:
 
     def test_neighbors_unaffected_by_faults(self, trained_detector, faulty_batch):
         healthy = [faulty_batch[0], faulty_batch[2], faulty_batch[4]]
-        alone = trained_detector.classify_many(healthy)
-        interleaved = trained_detector.classify_many(faulty_batch)
+        alone = trained_detector.batch_engine().classify(healthy)
+        interleaved = trained_detector.batch_engine().classify(faulty_batch)
         surviving = [interleaved[0], interleaved[2], interleaved[4]]
         for a, b in zip(alone, surviving):
             assert a.level1 == b.level1
@@ -170,9 +173,39 @@ class TestFaultIsolation:
             assert a.techniques == b.techniques
 
     def test_faults_isolated_across_workers(self, trained_detector, faulty_batch):
-        result = trained_detector.classify_batch(faulty_batch, n_workers=2)
+        result = trained_detector.batch_engine(n_workers=2).classify(faulty_batch)
         assert [i for i, r in enumerate(result.results) if r.error] == [1, 3]
         assert all(r.ok for i, r in enumerate(result.results) if i not in (1, 3))
+
+    @pytest.mark.parametrize("fault", ["parse", "recursion", "internal"])
+    def test_error_kind_same_under_every_triage_mode(
+        self, trained_detector, monkeypatch, fault
+    ):
+        """Extraction and both triage parse stages map exceptions alike.
+
+        Each source carries ``eval`` so that rules-only triage parses it.
+        """
+        import repro.flows.graph as graph
+        import repro.rules.context as context
+
+        source = {
+            "parse": "eval(x);\nfunction (((",
+            "recursion": "eval(x);\nvar a = " + "{a:\n" * 3000 + "1" + "}\n" * 3000 + ";",
+            "internal": "eval(x);\nvar a = 1;",
+        }[fault]
+        if fault == "internal":
+
+            def boom(program):
+                raise RuntimeError("injected")
+
+            monkeypatch.setattr(graph, "analyze_scopes", boom)
+            monkeypatch.setattr(context, "analyze_scopes", boom)
+        errors = []
+        for mode in ("off", "prefilter", "only"):
+            engine = BatchInferenceEngine(trained_detector, cache_size=0, triage=mode)
+            errors.append(engine.classify([source])[0].error)
+        assert errors[0] is not None and errors[0].kind == fault
+        assert errors[1] == errors[0] and errors[2] == errors[0]
 
     def test_error_str_rendering(self):
         error = DetectionError(kind="parse", message="bad token")
@@ -210,12 +243,12 @@ class TestEmptyAndStats:
         assert matrix.shape == (0, extractor.n_features)
 
     def test_empty_batch(self, trained_detector):
-        assert trained_detector.classify_many([]) == []
-        result = trained_detector.classify_batch([])
+        result = trained_detector.batch_engine().classify([])
+        assert result.results == []
         assert result.stats.files == 0 and result.stats.errors == 0
 
     def test_stats_shape(self, trained_detector, mixed_sources):
-        result = trained_detector.classify_batch(mixed_sources[:3])
+        result = trained_detector.batch_engine().classify(mixed_sources[:3])
         stats = result.stats
         assert stats.files == 3
         assert stats.ok + stats.errors == 3

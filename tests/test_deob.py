@@ -150,7 +150,31 @@ class TestBudgets:
         assert result.report.error is None
 
 
+#: Deep enough that codegen's recursive expression walk exhausts the stack.
+DEEP_MEMBER_CHAIN = "a" + ".b" * 20_000 + ";"
+LONG_SUM = "x = " + "+".join(["1"] * 30_000) + ";"
+
+
 class TestAdversarialInputs:
+    @pytest.mark.parametrize("source", [DEEP_MEMBER_CHAIN, LONG_SUM], ids=["member", "sum"])
+    def test_recursion_in_codegen_returns_input(self, source, engine):
+        result = engine.run(source)
+        assert result.report.bailed == "recursion"
+        assert result.report.error is None
+        assert result.source == source
+        assert not result.changed
+
+    def test_recursion_is_a_per_file_error_under_batch_deob(
+        self, deob_source, trained_detector
+    ):
+        engine = trained_detector.batch_engine(cache_size=0)
+        batch = engine.classify([deob_source, DEEP_MEMBER_CHAIN], deob=True)
+        assert batch[0].ok
+        assert batch[1].error is not None and batch[1].error.kind == "recursion"
+        assert batch[1].deob.report.bailed == "recursion"
+        assert batch[1].deob.source == DEEP_MEMBER_CHAIN
+        assert batch.stats.errors == 1
+
     def test_unparseable_input_is_returned_verbatim(self, engine):
         broken = "function ((( not javascript"
         result = engine.run(broken)

@@ -179,8 +179,10 @@ class TestPipelineFacade:
         minified = get_transformer("minification_simple").transform(
             regular_corpus[2], rng
         )
-        results = trained_detector.classify_many([regular_corpus[0], minified])
+        engine = trained_detector.batch_engine()
+        results = engine.classify([regular_corpus[0], minified])
         assert len(results) == 2
+        assert results[1].transformed
 
     def test_str_rendering(self, trained_detector, regular_corpus):
         result = trained_detector.classify(regular_corpus[3])

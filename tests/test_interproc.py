@@ -271,8 +271,7 @@ class TestFlowFeatures:
             FeatureExtractor(level=1, ngram_dims=32),
             FeatureExtractor(level=2, ngram_dims=32),
         )
-        _v1, _v2, _df, flow_timeout, _findings = paired.extract_pair(SAMPLE)
-        assert flow_timeout is False
+        assert paired.extract_pair(SAMPLE).flow_timeout is False
 
 
 class TestFlowTimeoutPlumbing:
@@ -293,7 +292,7 @@ class TestFlowTimeoutPlumbing:
 
     def test_metrics_counter_folds_batch_stats(self):
         from repro.detector.batch import BatchStats
-        from repro.serve.metrics import MetricsRegistry
+        from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
         stats = BatchStats(files=3, ok=3)

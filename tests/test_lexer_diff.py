@@ -23,18 +23,16 @@ import pytest
 
 from repro.corpus.generator import generate_corpus
 from repro.features.extractor import FeatureExtractor
-from repro.features.fastpath import TOKEN_STATIC_FEATURES, compute_token_static_features
-from repro.features.ngrams import token_ngram_vector
 from repro.features.static_features import compute_static_features
 from repro.flows.graph import enhance
 from repro.js import lexer as new_lexer
 from repro.js import parser as parser_module
 from repro.js.codegen import generate
-from repro.js.lexer import scan_summary, summarize_tokens, tokenize
+from repro.js.lexer import summarize_tokens, tokenize
 from repro.js.parser import Parser
 from repro.js.tokens import TokenType
 from repro.transform import get_transformer
-from tests import reference_lexer
+from tests import reference_lexer, reference_parser
 
 
 def _signature(tokens):
@@ -143,7 +141,7 @@ def test_error_parity(snippet):
 
 def test_feature_vectors_bit_identical_over_corpus(monkeypatch):
     """Full pipeline vectors must not move by a single bit."""
-    extractor = FeatureExtractor(level=2, ngram_dims=64, ngram_source="tokens")
+    extractor = FeatureExtractor(level=2, ngram_dims=64)
     sample = CORPUS[::4]
     new_vectors = [extractor.extract(source) for source in sample]
     monkeypatch.setattr(parser_module, "Lexer", reference_lexer.Lexer)
@@ -349,30 +347,23 @@ def test_codegen_round_trip_adversarial(snippet):
     assert once == twice
 
 
-# -- single-pass summary parity --------------------------------------------
-
-
-@pytest.mark.parametrize("index", range(0, len(CORPUS), 3))
-def test_summary_ngram_buckets_match_token_ngram_vector(index):
-    source = CORPUS[index]
-    summary = scan_summary(source, ngram_dims=128)
-    head = np.asarray(summary.ngram_counts, dtype=np.float64)
-    if summary.ngram_total:
-        head /= summary.ngram_total
-    assert np.array_equal(head, token_ngram_vector(tokenize(source), n_dims=128))
+# -- token summary ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("index", range(0, len(CORPUS), 3))
 def test_fast_static_features_match_full_path(index):
-    """The src_*/tok_*/str_* block of the fast path reproduces the full
-    extractor's values bit-for-bit (id_* are token-level by design)."""
+    """The src_*/tok_*/str_* block, computed with ``str.count`` and the
+    token summary, reproduces the frozen per-character and per-token
+    formulas of the reference pipeline bit-for-bit."""
     source = CORPUS[index]
-    full = compute_static_features(enhance(source, data_flow_timeout=5))
-    fast = compute_token_static_features(source, scan_summary(source))
-    for name in TOKEN_STATIC_FEATURES:
-        if name.startswith("id_"):
-            continue
-        assert fast[name] == full[name], name
+    live = compute_static_features(enhance(source, data_flow_timeout=5))
+    ref = reference_parser.compute_static_features(
+        reference_parser.enhance(source, data_flow_timeout=5)
+    )
+    names = [name for name in live if name.startswith(("src_", "tok_", "str_"))]
+    assert len(names) == 20
+    for name in names:
+        assert live[name] == ref[name], name
 
 
 def test_summary_counts_match_stream():

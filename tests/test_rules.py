@@ -228,6 +228,17 @@ class TestDynamicCodeTaint:
         ]
 
 
+class TestContextLayers:
+    def test_parsed_context_builds_the_flat_index(self):
+        from repro.js.visitor import count_nodes
+        from repro.rules.context import RuleContext
+
+        enhanced = RuleContext(source=RULES_SAMPLE).enhanced
+        assert enhanced.flat is not None
+        assert len(enhanced.flat) == count_nodes(enhanced.program)
+        assert enhanced.flat.nodes[0] is enhanced.program
+
+
 class TestStagedTriage:
     def test_minified_decides_at_text_stage_without_parsing(
         self, engine, monkeypatch
@@ -305,7 +316,7 @@ class TestStagedTriage:
     def test_parse_error_is_reported_when_ast_stage_is_needed(self, engine):
         result = engine.triage("eval(broken(;")
         assert result.error is not None
-        assert result.error[0] == "parse"
+        assert result.error.kind == "parse"
 
 
 class TestBatchTriage:

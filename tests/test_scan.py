@@ -14,11 +14,11 @@ from repro.scan import (
     ResultStore,
     ScanConfig,
     ScanCoordinator,
-    ScanMetrics,
     iter_ingest,
     merge_scan,
     write_report,
 )
+from repro.obs import MetricsRegistry
 from repro.scan.manifest import iter_directory, iter_tarball
 from repro.scan.worker import ShardTask, ShardWorker, WorkerConfig, build_record
 
@@ -279,7 +279,7 @@ def _scan(tmp_path, corpus, **overrides) -> tuple:
     )
     defaults.update(overrides)
     config = ScanConfig(**defaults)
-    metrics = ScanMetrics()
+    metrics = MetricsRegistry()
     return ScanCoordinator(config, metrics=metrics).run(), metrics
 
 
