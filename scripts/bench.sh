@@ -1,23 +1,14 @@
 #!/usr/bin/env bash
 # Run the benchmark suite and append one JSON record per run to the
-# per-suite history files, building the perf trajectory across PRs:
-#   BENCH_serve.json — benchmarks/test_bench_serve.py (service latency/throughput)
-#   BENCH_rules.json — benchmarks/test_bench_rules.py (signature engine / triage)
-#   BENCH_parse.json — benchmarks/test_bench_parse.py (lexer / single-pass features)
-#   BENCH_deob.json  — benchmarks/test_bench_deob.py (deob throughput / removal rate)
-#   BENCH_scan.json  — benchmarks/test_bench_scan.py (crawl-scale scan pipeline)
-#   BENCH_flows.json — benchmarks/test_bench_flows.py (interprocedural value flow)
-#   BENCH_train.json — everything else
+# per-suite history files, building the perf trajectory across PRs.  Each
+# benchmarks/test_bench_<x>.py appends to BENCH_<x>.json (test_bench_parse.py
+# to BENCH_parse.json, test_bench_serve.py to BENCH_serve.json, ...), and
+# every record is stamped with the commit and the host it ran on (CPU
+# count, Python version, platform).
 #
 # Usage:
-#   scripts/bench.sh                         # full benchmarks/ directory
-#   scripts/bench.sh benchmarks/test_bench_train.py   # one suite
-#   scripts/bench.sh benchmarks/test_bench_serve.py   # serving suite only
-#   scripts/bench.sh benchmarks/test_bench_rules.py   # signature-engine suite only
-#   scripts/bench.sh benchmarks/test_bench_parse.py   # parse-layer suite only
-#   scripts/bench.sh benchmarks/test_bench_deob.py    # deobfuscation suite only
-#   scripts/bench.sh benchmarks/test_bench_scan.py    # scan-pipeline suite only
-#   scripts/bench.sh benchmarks/test_bench_flows.py   # interproc value-flow suite only
+#   scripts/bench.sh                                 # full benchmarks/ directory
+#   scripts/bench.sh benchmarks/test_bench_parse.py  # one suite
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,7 +23,9 @@ python -m pytest "$TARGET" -q -p no:cacheprovider --benchmark-disable-gc \
 
 python - "$RAW_JSON" <<'PY'
 import json
+import os
 import pathlib
+import platform
 import subprocess
 import sys
 import time
@@ -42,17 +35,14 @@ commit = subprocess.run(
     ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True
 ).stdout.strip()
 timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-# Route each benchmark to its per-suite history file.
-suites = {
-    "BENCH_serve.json": [],
-    "BENCH_rules.json": [],
-    "BENCH_parse.json": [],
-    "BENCH_deob.json": [],
-    "BENCH_scan.json": [],
-    "BENCH_flows.json": [],
-    "BENCH_train.json": [],
+host = {
+    "cpu_count": os.cpu_count(),
+    "python": platform.python_version(),
+    "platform": platform.platform(),
 }
+
+# Route each benchmark to its suite's history file by module name.
+suites: dict[str, list] = {}
 for bench in raw.get("benchmarks", []):
     entry = {
         "name": bench["name"],
@@ -61,26 +51,16 @@ for bench in raw.get("benchmarks", []):
         "rounds": bench["stats"]["rounds"],
         **({"extra": bench["extra_info"]} if bench.get("extra_info") else {}),
     }
-    if "test_bench_serve" in bench["fullname"]:
-        out = "BENCH_serve.json"
-    elif "test_bench_rules" in bench["fullname"]:
-        out = "BENCH_rules.json"
-    elif "test_bench_parse" in bench["fullname"]:
-        out = "BENCH_parse.json"
-    elif "test_bench_deob" in bench["fullname"]:
-        out = "BENCH_deob.json"
-    elif "test_bench_scan" in bench["fullname"]:
-        out = "BENCH_scan.json"
-    elif "test_bench_flows" in bench["fullname"]:
-        out = "BENCH_flows.json"
-    else:
-        out = "BENCH_train.json"
-    suites[out].append(entry)
+    module = pathlib.Path(bench["fullname"].split("::")[0]).stem
+    suites.setdefault(f"BENCH_{module.removeprefix('test_bench_')}.json", []).append(entry)
 
 for out, benches in suites.items():
-    if not benches:
-        continue
-    record = {"timestamp": timestamp, "commit": commit or None, "benchmarks": benches}
+    record = {
+        "timestamp": timestamp,
+        "commit": commit or None,
+        "host": host,
+        "benchmarks": benches,
+    }
     path = pathlib.Path(out)
     history = json.loads(path.read_text()) if path.exists() else []
     history.append(record)

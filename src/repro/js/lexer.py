@@ -1,17 +1,20 @@
-"""JavaScript tokenizer — table-driven fast path.
+"""JavaScript tokenizer — a flat fast scanner with an exact scanner behind it.
 
-The scanner dispatches on a precomputed 256-entry character-class table and
-consumes trivia (whitespace, newlines, comments) and literal bodies in
-batched ``str.find``/regex-driven jumps instead of per-character method
-calls, which makes tokenization the cheapest layer of the pipeline again
-(see DESIGN.md §9 and BENCH_parse.json).  Coverage is ES5 plus the ES2015+
+:meth:`Lexer.scan_all` lexes with one ``findall`` over a group-free master
+regex and a tight loop that types each match by its first character.  At
+the first token that loop cannot prove, the table-driven scanner takes
+over and lexes the rest of the file; it consumes trivia (whitespace,
+newlines, comments) and literal bodies in batched ``str.find``/regex-driven
+jumps, which keeps tokenization the cheapest layer of the pipeline (see
+DESIGN.md §9 and BENCH_parse.json).  Coverage is ES5 plus the ES2015+
 constructs common in the wild: template literals (with a real substitution
-sub-scanner), arrow ``=>``, spread ``...``, binary/octal/BigInt numerics,
-Unicode escapes in identifiers, regular-expression literals (with the
-standard slash disambiguation, including statement-parenthesis tracking for
-the ``)``-before-``/`` ambiguity), and both comment styles.  Comments are
-collected separately so feature extraction can measure comment density
-while the parser sees clean input.
+sub-scanner), arrow ``=>``, spread ``...``, binary/octal/BigInt numerics
+and ``_`` numeric separators, Unicode escapes in identifiers,
+regular-expression literals (with the standard slash disambiguation,
+including statement-parenthesis tracking for the ``)``-before-``/``
+ambiguity), and both comment styles.  Comments are collected separately so
+feature extraction can measure comment density while the parser sees clean
+input.
 
 :func:`summarize_tokens` folds a token stream into a :class:`TokenSummary`
 (per-type counts, identifier spellings, string and comment statistics).
@@ -37,7 +40,9 @@ from repro.js.tokens import (
 # One entry per Latin-1 code point; code points above 0xFF are classified by
 # exclusion (the only high trivia characters are consumed by the trivia
 # regex, everything else is an identifier character, matching Esprima's
-# lenient "any non-ASCII is identifier-ish" behaviour).
+# lenient "any non-ASCII is identifier-ish" behaviour).  U+0080–U+00FF are
+# identifier characters for the same reason (``\xa0`` is trivia and never
+# reaches dispatch), exactly as in :data:`_ID_RE`.
 
 _CC_INVALID = 0
 _CC_ID = 1
@@ -49,7 +54,7 @@ _CC_DOT = 6
 _CC_PUNCT = 7
 _CC_BACKSLASH = 8
 
-_CLASS = [_CC_INVALID] * 256
+_CLASS = [_CC_INVALID] * 128 + [_CC_ID] * 128
 for _ch in "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ$_":
     _CLASS[ord(_ch)] = _CC_ID
 for _ch in "0123456789":
@@ -71,28 +76,37 @@ for _punct in PUNCTUATORS:
     _PUNCT_TABLE[_punct[0]] = _PUNCT_TABLE.get(_punct[0], ()) + (_punct,)
 del _punct
 
-# Keyword interning: token values point at the canonical catalog strings.
-_KEYWORD_CANON = {keyword: keyword for keyword in KEYWORDS}
-_KEYWORD_CANON["true"] = "true"
-_KEYWORD_CANON["false"] = "false"
-_KEYWORD_CANON["null"] = "null"
-
 #: ``(`` directly after one of these keywords opens a *statement* head, so
 #: a ``/`` right after the matching ``)`` starts a regex, not a division
 #: (``if (x) /re/.test(s)``).
 _STATEMENT_PAREN_KEYWORDS = frozenset({"if", "for", "while", "with"})
+
+# Numeric literal shapes, shared by both scanners.  A ``_`` separator
+# sits between two digits, and never in a literal that starts with ``0``
+# (``0_1``, legacy octal): ``1__0``, ``1_`` and ``0_1`` all stop before
+# the ``_`` and so still raise "identifier starts immediately after
+# number".
+_DIGITS = r"[0-9]++(?:_[0-9]++)*+"
+_EXPONENT = rf"(?:[eE][+-]?{_DIGITS})?"
+_NUM_INTEGER = r"(?:[1-9][0-9]*+(?:_[0-9]++)*+|[0-9]++)"
+_NUM_FRACTION = rf"(?:\.(?:{_DIGITS})?)?{_EXPONENT}"
+_NUM_DOT = rf"\.{_DIGITS}{_EXPONENT}"
+_NUM_HEX = r"0[xX](?:[0-9a-fA-F]++(?:_[0-9a-fA-F]++)*+)?"
+_NUM_OCT = r"0[oO](?:[0-7]++(?:_[0-7]++)*+)?"
+_NUM_BIN = r"0[bB](?:[01]++(?:_[01]++)*+)?"
+_NUM_LEGACY_OCT = r"0[0-7]++"
 
 # Batched scanners (all anchored with .match/.search so they run in C).
 _TRIVIA_RUN_RE = re.compile("[ \t\v\f\xa0\ufeff\n\r\u2028\u2029]+")
 _LINE_TERM_RE = re.compile("[\n\r\u2028\u2029]")
 _ID_RE = re.compile(r"[A-Za-z$_\x80-\U0010ffff][0-9A-Za-z$_\x80-\U0010ffff]*")
 _ID_PART_RE = re.compile(r"[0-9A-Za-z$_\x80-\U0010ffff]*")
-_NUM_DEC_RE = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
-_NUM_DOT_RE = re.compile(r"\.[0-9]+(?:[eE][+-]?[0-9]+)?")
-_NUM_HEX_RE = re.compile(r"0[xX][0-9a-fA-F]*")
-_NUM_OCT_RE = re.compile(r"0[oO][0-7]*")
-_NUM_BIN_RE = re.compile(r"0[bB][01]*")
-_NUM_LEGACY_OCT_RE = re.compile(r"0[0-7]+")
+_NUM_DEC_RE = re.compile(_NUM_INTEGER + _NUM_FRACTION)
+_NUM_DOT_RE = re.compile(_NUM_DOT)
+_NUM_HEX_RE = re.compile(_NUM_HEX)
+_NUM_OCT_RE = re.compile(_NUM_OCT)
+_NUM_BIN_RE = re.compile(_NUM_BIN)
+_NUM_LEGACY_OCT_RE = re.compile(_NUM_LEGACY_OCT)
 _STRING_RE = {
     '"': re.compile(r'"(?:[^"\\\n\r]++|\\(?:\r\n|[\s\S]))*"'),
     "'": re.compile(r"'(?:[^'\\\n\r]++|\\(?:\r\n|[\s\S]))*'"),
@@ -100,7 +114,7 @@ _STRING_RE = {
 _LINE_TERMINATORS = frozenset("\n\r\u2028\u2029")
 
 # Next character a template-body scan has to stop and think about.
-_TEMPLATE_SPECIAL_RE = re.compile("[\\\\`$\n\r\u2028\u2029]")
+_TEMPLATE_SPECIAL_RE = re.compile(r"[\\`$]")
 # Next character a regex-literal scan has to stop and think about; plain
 # pattern characters are skipped in one C-level search per special.
 _REGEX_SPECIAL_RE = re.compile(
@@ -109,21 +123,21 @@ _REGEX_SPECIAL_RE = re.compile(
 
 # -- master scan regex ---------------------------------------------------------
 #
-# One alternation covering every token shape that needs no lexer state,
-# consumed with ``finditer`` so the hot loop runs inside the regex engine.
+# One group-free alternation covering every token shape that needs no
+# lexer state, consumed with ``findall`` so the hot loop runs inside the
+# regex engine and gets back one plain string per match.  The trailing
+# catch-all makes the scan *gap-free* — every source character is in
+# exactly one match, so cumulative lengths are exact absolute offsets.
 # Anything the alternation cannot express — template literals, regex
-# literals (previous-token dependent), identifier Unicode escapes,
-# unterminated literals, stray characters — shows up as a *gap* between
-# matches or as a flagged match, and control drops to the stateful
-# :meth:`Lexer._scan_one` fallback for exactly one token.
+# literals after ``)``, identifier Unicode escapes, unterminated literals,
+# stray characters — arrives as a catch-all character or a flagged match,
+# and :meth:`Lexer._scan_one` takes over from that token.
 #
-# Group order is load-bearing: the regex engine takes the first
+# Alternative order is load-bearing: the regex engine takes the first
 # alternative that matches, so comments must precede punctuators (``//``
 # before ``/``), numbers must precede punctuators (``.5`` before ``.``),
 # and the legacy-octal alternative must precede plain decimal so ``0778``
 # splits into ``077`` + ``8`` exactly like the reference scanner.
-
-_G_WS, _G_COMMENT, _G_ID, _G_NUM, _G_STR, _G_PUNCT = range(1, 7)
 
 # Single-char punctuators that prefix no longer punctuator collapse into
 # one character class up front; the rest are grouped by first character
@@ -142,8 +156,7 @@ assert set(_PUNCT_FAMILY_ORDER) == {
 def _punct_regex(punct: str) -> str:
     # ``?.`` is only optional chaining when no decimal digit follows —
     # ``a?.5:0`` is a ternary over ``.5`` (spec: OptionalChainingPunctuator
-    # lookahead).  The lookahead survives the flat-tier group rewrite
-    # because ``(?!`` is exempt from the capture-group substitution.
+    # lookahead).  :meth:`Lexer._scan_punctuator` applies the same guard.
     if punct == "?.":
         return r"\?\.(?![0-9])"
     return re.escape(punct)
@@ -157,35 +170,25 @@ _PUNCT_PATTERN = "[" + "".join(re.escape(p) for p in _PUNCT_SAFE_SINGLE) + "]|" 
     for first in _PUNCT_FAMILY_ORDER
 )
 
-_MASTER_RE = re.compile(
-    "([ \t\v\f\xa0\ufeff\n\r\u2028\u2029]++)"  # ws
-    "|(//[^\n\r\u2028\u2029]*+"  # comment: line ...
-    r"|/\*[^*]*+\*+(?:[^/*][^*]*+\*+)*+/)"  # ... or terminated block
-    "|([A-Za-z$_\x80-\U0010ffff][0-9A-Za-z$_\x80-\U0010ffff]*+)"  # identifier
-    r"|(0[xX][0-9a-fA-F]*+n?|0[oO][0-7]*+n?|0[bB][01]*+n?"  # number: radix
-    r"|0[0-7]++"  # legacy octal (before decimal; no BigInt suffix)
-    r"|[0-9]++(?:n|(?:\.[0-9]*+)?(?:[eE][+-]?[0-9]++)?)"  # decimal / BigInt
-    r"|\.[0-9]++(?:[eE][+-]?[0-9]++)?)"  # dot-start (before punctuator ".")
-    '|("(?:[^"\\\\\n\r]++|\\\\(?:\r\n|[\\s\\S]))*"'  # string: double ...
-    "|'(?:[^'\\\\\n\r]++|\\\\(?:\r\n|[\\s\\S]))*')"  # ... or single quoted
-    "|(" + _PUNCT_PATTERN + ")"  # punctuator
+_FLAT_MASTER_RE = re.compile(
+    "[ \t\v\f\xa0\ufeff\n\r\u2028\u2029]++"  # ws
+    "|//[^\n\r\u2028\u2029]*+"  # comment: line ...
+    r"|/\*[^*]*+\*+(?:[^/*][^*]*+\*+)*+/"  # ... or terminated block
+    "|[A-Za-z$_\x80-\U0010ffff][0-9A-Za-z$_\x80-\U0010ffff]*+"  # identifier
+    f"|{_NUM_HEX}n?|{_NUM_OCT}n?|{_NUM_BIN}n?"  # number: radix
+    f"|{_NUM_LEGACY_OCT}"  # legacy octal (before decimal; no BigInt suffix)
+    f"|{_NUM_INTEGER}(?:n|{_NUM_FRACTION})"  # decimal / BigInt
+    f"|{_NUM_DOT}"  # dot-start (before punctuator ".")
+    '|"(?:[^"\\\\\n\r]++|\\\\(?:\r\n|[\\s\\S]))*"'  # string: double ...
+    "|'(?:[^'\\\\\n\r]++|\\\\(?:\r\n|[\\s\\S]))*'"  # ... or single quoted
+    "|" + _PUNCT_PATTERN  # punctuator
+    + r"|[\s\S]"  # catch-all: one character the flat scan stops at
 )
 
 # Punctuator value interning: every emitted token shares one string object.
 _PUNCT_CANON = {p: p for p in PUNCTUATORS}
 
-# Group-free twin of the master regex for the `findall` fast tier: one
-# plain string per match, no per-match group-tuple or Match allocation.
-# The trailing catch-all makes the scan *gap-free* — every source char is
-# in exactly one match, so cumulative lengths are exact absolute offsets.
-# Characters only the catch-all takes (backtick, backslash, stray bytes,
-# a quote whose string never closes) classify as bail-out below.
-_FLAT_MASTER_RE = re.compile(
-    re.sub(r"(?<!\\)\((?!\?)", "(?:", _MASTER_RE.pattern) + r"|[\s\S]"
-)
-assert _FLAT_MASTER_RE.groups == 0
-
-# Per-first-character classification for the flat tier: a match's token
+# Per-first-character classification for the flat scan: a match's token
 # type follows from its first character, with the three ambiguous cases
 # (``/`` comment-vs-punctuator-vs-regex, ``.`` punctuator-vs-number,
 # identifier-vs-keyword) resolved on the value.
@@ -215,7 +218,7 @@ _FLAT_KIND0["."] = _FK_DOT
 _FLAT_KIND0['"'] = _FK_STR
 _FLAT_KIND0["'"] = _FK_STR
 # Catch-all-only characters: templates, identifier escapes, and invalid
-# bytes all need lexer state (or an error) the flat tier does not have.
+# bytes all need lexer state (or an error) the flat scan does not have.
 _FLAT_KIND0["`"] = _FK_BAIL
 _FLAT_KIND0["\\"] = _FK_BAIL
 for _code in range(128):
@@ -228,6 +231,8 @@ _KEYWORD_TYPE = {keyword: TokenType.KEYWORD for keyword in KEYWORDS}
 _KEYWORD_TYPE["true"] = TokenType.BOOLEAN
 _KEYWORD_TYPE["false"] = TokenType.BOOLEAN
 _KEYWORD_TYPE["null"] = TokenType.NULL
+# Token types the identifier alternative produces.
+_WORD_TYPES = frozenset(_KEYWORD_TYPE.values()) | {TokenType.IDENTIFIER}
 
 # Characters that may directly follow a numeric literal without tripping
 # the reference scanner's "identifier starts immediately after number"
@@ -242,6 +247,15 @@ class LexerError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+
+
+def _opens_statement_head(prev: Token | None) -> bool:
+    """Does a ``(`` after ``prev`` head an if/for/while/with statement?"""
+    return (
+        prev is not None
+        and prev.type is TokenType.KEYWORD
+        and prev.value in _STATEMENT_PAREN_KEYWORDS
+    )
 
 
 class Lexer:
@@ -280,41 +294,42 @@ class Lexer:
     def scan_all(self) -> list[Token]:
         """Tokenize the whole input; returns tokens without comments.
 
-        Three tiers, fastest first:
+        Two scanners, fastest first:
 
         1. :meth:`_scan_flat` — a single ``findall`` over the group-free
            master regex plus one tight Python loop.  It never raises and
-           never guesses: any construct it cannot prove (templates,
-           regex-position slashes, identifier escapes, lexing errors)
-           makes it discard everything and defer to tier 2.
-        2. :meth:`_scan_iter` — the ``finditer`` master-regex loop, which
-           drops to tier 3 for single tokens the regex cannot see.
-        3. :meth:`_scan_one` — the table-driven stateful scanner; the
-           only tier that raises :class:`LexerError`.
+           never guesses: at the first token it cannot prove (a template,
+           a slash after ``)``, an identifier escape, a lexing error) it
+           stops, keeping every token and comment before that one.
+        2. :meth:`_scan_one` — the table-driven stateful scanner.  It
+           resumes where the flat scan stopped, with the
+           statement-parenthesis state replayed from the kept tokens, and
+           lexes to the end of the file; the only scanner that raises
+           :class:`LexerError`.
         """
-        if self._scan_flat():
-            return self.tokens
-        # The flat tier may have partially populated state before bailing.
-        self.tokens = []
-        self.comments = []
-        self.pos = 0
-        self.line = 1
-        self.line_start = 0
-        self._paren_stack.clear()
-        self._close_paren_statement = False
-        return self._scan_iter()
+        self._scan_flat()
+        if self.pos < self.length:
+            self._replay_parens()
+            while self.pos < self.length:
+                self._scan_one()
+        pos = self.pos
+        self.tokens.append(
+            Token(TokenType.EOF, "", pos, pos, self.line, pos - self.line_start)
+        )
+        return self.tokens
 
-    def _scan_flat(self) -> bool:
-        """Fast tier: lex the whole source from one group-free ``findall``.
+    def _scan_flat(self) -> None:
+        """Fast scanner: lex from one group-free ``findall`` as far as it can.
 
         ``findall`` with zero groups returns plain strings, so no Match
         or group-tuple objects are allocated; token positions are
         rebuilt from cumulative lengths, which the pattern's catch-all
         alternative makes exact (every character is in exactly one
-        match).  The loop never raises — whenever it meets something it
-        cannot prove (a catch-all character, an ambiguous slash, a
-        number running into an identifier) it returns False with state
-        half-built and the caller re-lexes with the exact tiers.
+        match).  The loop never raises — when it meets something it
+        cannot prove (a catch-all character, a slash after ``)``, a
+        number running into an identifier, a regex literal straddled by
+        another match) it stops with ``pos``/``line``/``line_start`` at
+        that token's start, and :meth:`scan_all` resumes there.
         """
         src = self.source
         length = self.length
@@ -368,11 +383,11 @@ class Lexer:
                 kind = keyword_type(value) or identifier_type
             elif kind == _FK_NUM:
                 if end < length and src[end] not in safe_next:
-                    return False  # number-into-identifier needs the error path
+                    break  # number-into-identifier needs the error path
                 kind = numeric_type
             elif kind == _FK_STR:
                 if len(value) == 1:
-                    return False  # catch-all: unterminated string
+                    break  # catch-all: unterminated string
                 kind = string_type
                 if "\\" in value and not terminators.isdisjoint(value):
                     token = token_new(Token)
@@ -414,18 +429,18 @@ class Lexer:
                 # block comment (a terminated one is taken by the comment
                 # alternative): the error path owns it.
                 if value == "/" and end < length and src[end] == "*":
-                    return False
+                    break
                 # Bare "/" or "/=": division or regex per the previous
                 # token.  Only the ")" case is ambiguous here (statement-
-                # paren provenance lives in the stack this tier does not
-                # maintain) and defers to the exact tiers.
+                # paren provenance lives in the stack this scan does not
+                # maintain) and is left to the exact scanner.
                 if tokens:
                     prev = tokens[-1]
                     prev_type = prev.type
                     if prev_type is punctuator_type:
                         prev_value = prev.value
                         if prev_value == ")":
-                            return False
+                            break
                         want_regex = prev_value in REGEX_ALLOWED_AFTER_PUNCTUATORS
                     elif prev_type is keyword_type_tag:
                         want_regex = prev.value in REGEX_ALLOWED_AFTER_KEYWORDS
@@ -438,10 +453,10 @@ class Lexer:
                     # the remaining `findall` matches it swallowed.  If a
                     # swallowed match straddles the literal's end (a quote
                     # in the pattern opening a phantom string), the walk
-                    # cannot land exactly and bails below.
-                    span = self._flat_regex_end(start)
+                    # cannot land exactly and the literal is handed back.
+                    span = _regex_end(src, start)
                     if span is None:
-                        return False  # unterminated: the exact tiers raise
+                        break  # unterminated: the exact scanner raises
                     pattern_end, rx_end = span
                     token = token_new(Token)
                     token.type = regex_type
@@ -456,12 +471,10 @@ class Lexer:
                     }
                     append(token)
                     while pos < rx_end:
-                        value = next(values_iter, None)
-                        if value is None:
-                            return False
-                        pos += len(value)
+                        pos += len(next(values_iter))
                     if pos != rx_end:
-                        return False  # a match straddles the regex end
+                        tokens.pop()  # a match straddles the regex end
+                        break
                     continue
                 kind = punctuator_type
                 value = punct_canon[value]
@@ -471,10 +484,15 @@ class Lexer:
                     value = punct_canon[value]
                 else:
                     if end < length and src[end] not in safe_next:
-                        return False
+                        break
                     kind = numeric_type
             else:  # _FK_BAIL: templates, escapes, invalid characters
-                return False
+                if value == "\\" and tokens:
+                    prev = tokens[-1]
+                    if prev.end == start and prev.type in _WORD_TYPES:
+                        start = prev.start  # the escape continues this word
+                        tokens.pop()
+                break
             token = token_new(Token)
             token.type = kind
             token.value = value
@@ -483,199 +501,29 @@ class Lexer:
             token.line = line
             token.column = start - line_start
             append(token)
-        if pos != length:
-            return False  # a gap desynced every position after it
-        self.pos = pos
+        else:
+            start = pos  # every character consumed
+        self.pos = start
         self.line = line
         self.line_start = line_start
-        append(Token(TokenType.EOF, "", pos, pos, line, pos - line_start))
-        return True
 
-    def _flat_regex_end(self, start: int) -> tuple[int, int] | None:
-        """Span of a regex literal opening at ``start`` for the flat tier.
-
-        Returns ``(pattern_end, end)`` — offsets just past the closing
-        ``/`` and past the flags — or None when the literal never closes
-        (the exact tiers own the error message).  Mirrors
-        :meth:`_scan_regex` but touches no lexer state.
-        """
-        src = self.source
-        length = self.length
-        pos = start + 1
-        in_class = False
-        search = _REGEX_SPECIAL_RE.search
-        while True:
-            match = search(src, pos)
-            if match is None:
-                return None
-            pos = match.start()
-            char = src[pos]
-            if char == "\\":
-                pos += 2
-                continue
-            if char == "[":
-                in_class = True
-            elif char == "]":
-                in_class = False
-            elif char == "/":
-                if not in_class:
-                    pos += 1
-                    break
-            else:  # raw line terminator: unterminated
-                return None
-            pos += 1
-        if pos > length:
-            return None
-        return pos, _ID_PART_RE.match(src, pos).end()
-
-    def _scan_iter(self) -> list[Token]:
-        """Exact tier: walk :data:`_MASTER_RE` matches with ``finditer``.
-
-        Every stateless token shape is recognised and sliced inside the
-        regex engine.  The loop drops to :meth:`_scan_one` (the
-        table-driven stateful scanner) for exactly one token whenever
-
-        * a match starts past ``pos`` (a gap: backtick templates,
-          ``\\u`` identifier escapes, unterminated literals, stray
-          characters, the shebang line), or
-        * a match needs context the regex cannot see (a ``/`` that may
-          open a regex literal, an identifier continued by a Unicode
-          escape, a number running into an identifier character),
-
-        then restarts ``finditer`` after the fallback advances.
-        """
-        src = self.source
-        length = self.length
-        cls_table = _CLASS
-        tokens = self.tokens
-        append = tokens.append
-        comment_append = self.comments.append
-        keyword_canon = _KEYWORD_CANON
-        punct_canon = _PUNCT_CANON
-        pos = 0
-        while pos < length:
-            for match in _MASTER_RE.finditer(src, pos):
-                start = match.start()
-                if start != pos:
-                    break  # gap: hand the char at ``pos`` to the fallback
-                end = match.end()
-                group = match.lastindex
-                if group == _G_ID:
-                    if end < length and src[end] == "\\":
-                        break  # escape continues the identifier
-                    value = src[start:end]
-                    canonical = keyword_canon.get(value)
-                    if canonical is None:
-                        kind = TokenType.IDENTIFIER
-                    else:
-                        value = canonical
-                        if value == "true" or value == "false":
-                            kind = TokenType.BOOLEAN
-                        elif value == "null":
-                            kind = TokenType.NULL
-                        else:
-                            kind = TokenType.KEYWORD
-                    append(
-                        Token(
-                            kind, value, start, end, self.line, start - self.line_start
-                        )
-                    )
-                elif group == _G_PUNCT:
-                    value = punct_canon[src[start:end]]
-                    if value[0] == "/":
-                        # May be an unterminated block comment or open a
-                        # regex literal — both need the stateful scanner.
-                        if (
-                            end < length and src[end] == "*" and value == "/"
-                        ) or self._regex_allowed():
-                            break
-                    elif value == "(":
-                        prev = tokens[-1] if tokens else None
-                        self._paren_stack.append(
-                            prev is not None
-                            and prev.type is TokenType.KEYWORD
-                            and prev.value in _STATEMENT_PAREN_KEYWORDS
-                        )
-                    elif value == ")":
-                        stack = self._paren_stack
-                        self._close_paren_statement = stack.pop() if stack else False
-                    append(
-                        Token(
-                            TokenType.PUNCTUATOR,
-                            value,
-                            start,
-                            end,
-                            self.line,
-                            start - self.line_start,
-                        )
-                    )
-                elif group == _G_WS:
-                    self._count_lines(start, end)
-                elif group == _G_STR:
-                    value = match.group()
-                    start_line = self.line
-                    start_col = start - self.line_start
-                    if "\\" in value and (
-                        "\n" in value
-                        or "\r" in value
-                        or (
-                            self._has_ls_ps
-                            and ("\u2028" in value or "\u2029" in value)
-                        )
-                    ):
-                        self._count_escaped_newlines(start + 1, end - 1)
-                    append(
-                        Token(TokenType.STRING, value, start, end, start_line, start_col)
-                    )
-                elif group == _G_NUM:
-                    if end < length:
-                        code = ord(src[end])
-                        if (code < 256 and cls_table[code] == _CC_ID) or code > 0x7F:
-                            break  # exact error raised by the fallback
-                    append(
-                        Token(
-                            TokenType.NUMERIC,
-                            src[start:end],
-                            start,
-                            end,
-                            self.line,
-                            start - self.line_start,
-                        )
-                    )
-                else:  # _G_COMMENT
-                    if src[start + 1] == "/":
-                        kind = "Line"
-                        start_line = self.line
-                        start_col = start - self.line_start
-                    else:
-                        kind = "Block"
-                        start_line = self.line
-                        start_col = start - self.line_start
-                        self._count_lines(start + 2, end - 2)
-                    comment_append(
-                        Token(
-                            TokenType.COMMENT,
-                            src[start:end],
-                            start,
-                            end,
-                            start_line,
-                            start_col,
-                            extra={"kind": kind},
-                        )
-                    )
-                pos = end
-            if pos < length:
-                self.pos = pos
-                self._scan_one()
-                pos = self.pos
-        self.pos = pos
-        append(Token(TokenType.EOF, "", pos, pos, self.line, pos - self.line_start))
-        return self.tokens
+    def _replay_parens(self) -> None:
+        """Rebuild the statement-parenthesis state the flat scan does not
+        keep, in one pass over the tokens it emitted."""
+        stack = self._paren_stack
+        prev = None
+        for token in self.tokens:
+            if token.type is TokenType.PUNCTUATOR:
+                if token.value == "(":
+                    stack.append(_opens_statement_head(prev))
+                elif token.value == ")":
+                    self._close_paren_statement = stack.pop() if stack else False
+            prev = token
 
     def _scan_one(self) -> None:
         """Scan one token (or trailing trivia) with the stateful machinery.
 
-        This is the fallback half of :meth:`scan_all`: dispatch on the
+        This is the exact half of :meth:`scan_all`: dispatch on the
         character-class table, full template/regex/escape handling, exact
         reference error messages.  A no-op at end of input.
         """
@@ -851,19 +699,15 @@ class Lexer:
         while end < self.length and src[end] == "\\":
             end = self._consume_identifier_escape(end)
         value = src[start:end]
-        canonical = _KEYWORD_CANON.get(value)
-        if canonical is not None:
-            value = canonical
-            if value == "true" or value == "false":
-                kind = TokenType.BOOLEAN
-            elif value == "null":
-                kind = TokenType.NULL
-            else:
-                kind = TokenType.KEYWORD
-        else:
-            kind = TokenType.IDENTIFIER
         self.tokens.append(
-            Token(kind, value, start, end, self.line, start - self.line_start)
+            Token(
+                _KEYWORD_TYPE.get(value, TokenType.IDENTIFIER),
+                value,
+                start,
+                end,
+                self.line,
+                start - self.line_start,
+            )
         )
         self.pos = end
 
@@ -998,115 +842,23 @@ class Lexer:
     def _scan_template(self) -> None:
         """Scan a whole template literal (including ``${ }`` substitutions).
 
-        The token keeps the raw source; the parser re-scans substitutions.
-        Substitutions are tracked with a real sub-scanner that skips nested
-        strings, templates, and comments, so braces or backticks inside a
-        quoted string (`` `${"}"}` ``) cannot corrupt the nesting.
+        The token keeps the raw source; the parser splits it again with
+        :func:`split_template`.  Both use :func:`_template_end`, whose
+        substitution sub-scanner skips nested strings, templates, and
+        comments, so braces or backticks inside a quoted string
+        (`` `${"}"}` ``) cannot corrupt the nesting.
         """
+        src = self.source
         start = self.pos
         start_line, start_col = self.line, start - self.line_start
-        end = self._skip_template(start, start_line, start_col)
+        end = _template_end(src, start)
+        if end < 0:
+            raise LexerError("Unterminated template literal", start_line, start_col)
+        self._count_lines(start, end)
         self.tokens.append(
-            Token(
-                TokenType.TEMPLATE,
-                self.source[start:end],
-                start,
-                end,
-                start_line,
-                start_col,
-            )
+            Token(TokenType.TEMPLATE, src[start:end], start, end, start_line, start_col)
         )
         self.pos = end
-
-    def _skip_template(self, start: int, err_line: int, err_col: int) -> int:
-        """Position after the template literal opening at ``start``."""
-        src = self.source
-        length = self.length
-        pos = start + 1
-        while pos < length:
-            match = _TEMPLATE_SPECIAL_RE.search(src, pos)
-            if match is None:
-                break
-            pos = match.start()
-            char = src[pos]
-            if char == "`":
-                return pos + 1
-            if char == "\\":
-                if pos + 1 < length and src[pos + 1] in _LINE_TERMINATORS:
-                    pos = self._newline_at(pos + 1)
-                else:
-                    pos += 2
-            elif char == "$":
-                if pos + 1 < length and src[pos + 1] == "{":
-                    pos = self._skip_substitution(pos + 2, err_line, err_col)
-                else:
-                    pos += 1
-            else:
-                pos = self._newline_at(pos)
-        raise LexerError("Unterminated template literal", err_line, err_col)
-
-    def _skip_substitution(self, pos: int, err_line: int, err_col: int) -> int:
-        """Position after the ``}`` closing a ``${`` substitution.
-
-        Nested strings, templates, comments, and brace pairs are skipped
-        structurally rather than counted blindly.
-        """
-        src = self.source
-        length = self.length
-        depth = 1
-        while pos < length:
-            char = src[pos]
-            if char == "}":
-                depth -= 1
-                pos += 1
-                if depth == 0:
-                    return pos
-            elif char == "{":
-                depth += 1
-                pos += 1
-            elif char == "'" or char == '"':
-                pos = self._skip_substitution_string(pos, err_line, err_col)
-            elif char == "`":
-                pos = self._skip_template(pos, err_line, err_col)
-            elif char == "/" and pos + 1 < length and src[pos + 1] == "/":
-                match = _LINE_TERM_RE.search(src, pos + 2)
-                pos = match.start() if match is not None else length
-            elif char == "/" and pos + 1 < length and src[pos + 1] == "*":
-                close = src.find("*/", pos + 2)
-                if close == -1:
-                    break
-                self._count_lines(pos + 2, close)
-                pos = close + 2
-            elif char == "\\":
-                pos += 2
-            elif char in _LINE_TERMINATORS:
-                pos = self._newline_at(pos)
-            else:
-                pos += 1
-        raise LexerError("Unterminated template literal", err_line, err_col)
-
-    def _skip_substitution_string(self, pos: int, err_line: int, err_col: int) -> int:
-        """Skip a quoted string inside a ``${...}`` substitution."""
-        src = self.source
-        length = self.length
-        quote = src[pos]
-        pos += 1
-        while pos < length:
-            char = src[pos]
-            if char == quote:
-                return pos + 1
-            if char == "\\":
-                if pos + 1 < length and src[pos + 1] in _LINE_TERMINATORS:
-                    pos = self._newline_at(pos + 1)
-                else:
-                    pos += 2
-            elif char in _LINE_TERMINATORS:
-                # Lenient: a raw terminator inside a substitution string is
-                # invalid JS, but triage inputs are hostile — keep scanning.
-                pos = self._newline_at(pos)
-            else:
-                pos += 1
-        raise LexerError("Unterminated template literal", err_line, err_col)
 
     # -- regular expressions ----------------------------------------------
 
@@ -1135,55 +887,27 @@ class Lexer:
 
     def _scan_regex(self) -> None:
         src = self.source
-        length = self.length
         start = self.pos
-        start_line, start_col = self.line, start - self.line_start
-        pos = start + 1
-        in_class = False
-        search = _REGEX_SPECIAL_RE.search
-        while True:
-            match = search(src, pos)
-            if match is None:
-                raise LexerError(
-                    "Unterminated regular expression", start_line, start_col
-                )
-            pos = match.start()
-            char = src[pos]
-            if char == "\\":
-                pos += 2
-                continue
-            if char == "[":
-                in_class = True
-            elif char == "]":
-                in_class = False
-            elif char == "/":
-                if not in_class:
-                    pos += 1
-                    break
-            else:  # line terminator
-                raise LexerError(
-                    "Unterminated regular expression", start_line, start_col
-                )
-            pos += 1
-        if pos > length:
-            raise LexerError("Unterminated regular expression", start_line, start_col)
-        pattern_end = pos
-        pos = _ID_PART_RE.match(src, pos).end()
+        start_col = start - self.line_start
+        span = _regex_end(src, start)
+        if span is None:
+            raise LexerError("Unterminated regular expression", self.line, start_col)
+        pattern_end, end = span
         self.tokens.append(
             Token(
                 TokenType.REGULAR_EXPRESSION,
-                src[start:pos],
+                src[start:end],
                 start,
-                pos,
-                start_line,
+                end,
+                self.line,
                 start_col,
                 extra={
                     "pattern": src[start + 1 : pattern_end - 1],
-                    "flags": src[pattern_end:pos],
+                    "flags": src[pattern_end:end],
                 },
             )
         )
-        self.pos = pos
+        self.pos = end
 
     # -- punctuators -------------------------------------------------------
 
@@ -1207,11 +931,8 @@ class Lexer:
                 ):
                     continue  # ``a?.5:0`` is a ternary over ``.5``, not chaining
                 if punct == "(":
-                    prev = tokens[-1] if tokens else None
                     self._paren_stack.append(
-                        prev is not None
-                        and prev.type is TokenType.KEYWORD
-                        and prev.value in _STATEMENT_PAREN_KEYWORDS
+                        _opens_statement_head(tokens[-1] if tokens else None)
                     )
                 elif punct == ")":
                     stack = self._paren_stack
@@ -1234,15 +955,46 @@ class Lexer:
         )
 
 
-# -- template split (shared with the parser) ----------------------------------
+# -- literal spans (shared by both scanners and the parser) -------------------
+
+
+def _regex_end(src: str, start: int) -> tuple[int, int] | None:
+    """Span of the regex literal whose ``/`` is at ``start``.
+
+    Returns ``(pattern_end, end)`` — offsets just past the closing ``/``
+    and past the flags — or None when the literal never closes.
+    """
+    pos = start + 1
+    in_class = False
+    search = _REGEX_SPECIAL_RE.search
+    while True:
+        match = search(src, pos)
+        if match is None:
+            return None
+        pos = match.start()
+        char = src[pos]
+        if char == "\\":
+            pos += 2
+            continue
+        if char == "[":
+            in_class = True
+        elif char == "]":
+            in_class = False
+        elif char == "/":
+            if not in_class:
+                pos += 1
+                return pos, _ID_PART_RE.match(src, pos).end()
+        else:  # raw line terminator: unterminated
+            return None
+        pos += 1
 
 
 def _substitution_end(raw: str, pos: int) -> int:
-    """End of the ``${`` substitution opening at ``pos`` inside ``raw``.
+    """End of the ``${`` substitution whose body starts at ``pos``.
 
-    Structure-aware twin of :meth:`Lexer._skip_substitution` operating on a
-    raw template token value (no line bookkeeping).  Returns the index just
-    after the closing ``}``, or ``len(raw)`` when unbalanced.
+    Returns the index just after the closing ``}``, or -1 when the
+    substitution never closes.  Nested strings, templates, comments, and
+    brace pairs are skipped structurally rather than counted blindly.
     """
     length = len(raw)
     depth = 1
@@ -1269,6 +1021,8 @@ def _substitution_end(raw: str, pos: int) -> int:
                     pos += 1
         elif char == "`":
             pos = _template_end(raw, pos)
+            if pos < 0:
+                return -1
         elif char == "/" and pos + 1 < length and raw[pos + 1] == "/":
             match = _LINE_TERM_RE.search(raw, pos + 2)
             pos = match.start() if match is not None else length
@@ -1279,24 +1033,34 @@ def _substitution_end(raw: str, pos: int) -> int:
             pos += 2
         else:
             pos += 1
-    return length
+    return -1
 
 
 def _template_end(raw: str, pos: int) -> int:
-    """End of the nested template literal opening at ``pos`` inside ``raw``."""
-    length = len(raw)
+    """End of the template literal whose backtick is at ``pos``.
+
+    Returns the index just after the closing backtick, or -1 when the
+    template never closes.  Plain template text is skipped in one
+    C-level search per special character.
+    """
+    search = _TEMPLATE_SPECIAL_RE.search
     pos += 1
-    while pos < length:
+    while True:
+        match = search(raw, pos)
+        if match is None:
+            return -1
+        pos = match.start()
         char = raw[pos]
         if char == "`":
             return pos + 1
         if char == "\\":
             pos += 2
-        elif char == "$" and pos + 1 < length and raw[pos + 1] == "{":
+        elif raw.startswith("{", pos + 1):
             pos = _substitution_end(raw, pos + 2)
+            if pos < 0:
+                return -1
         else:
             pos += 1
-    return length
 
 
 def split_template(raw: str) -> tuple[list[str], list[str]]:
@@ -1322,6 +1086,8 @@ def split_template(raw: str) -> tuple[list[str], list[str]]:
             chunks.append(inner[chunk_start:pos])
             expr_start = pos + 2
             pos = _substitution_end(inner, expr_start)
+            if pos < 0:  # unbalanced: the substitution runs to the end
+                pos = length
             exprs.append(inner[expr_start : pos - 1])
             chunk_start = pos
         else:

@@ -220,12 +220,26 @@ class HexIdentifierRule(Rule):
         ]
 
 
-def _is_literal_concat(node: Node) -> bool:
-    if node.type == "Literal":
-        return isinstance(node.value, str)
-    if node.type == "BinaryExpression" and node.operator == "+":
-        return _is_literal_concat(node.left) and _is_literal_concat(node.right)
-    return False
+def _literal_concat_nodes(binaries: list[Node]) -> list[Node]:
+    """The ``+`` nodes among ``binaries`` whose leaves are all string literals.
+
+    One bottom-up pass, no recursion: :meth:`RuleContext.nodes` lists
+    every node before its descendants, so walking the list backwards
+    settles both operands of a ``+`` before the ``+`` itself.
+    """
+    concat: set[int] = set()
+    for node in reversed(binaries):
+        if node.operator != "+":
+            continue
+        for side in (node.left, node.right):
+            if side.type == "Literal":
+                if not isinstance(side.value, str):
+                    break
+            elif id(side) not in concat:
+                break
+        else:
+            concat.add(id(node))
+    return [node for node in binaries if id(node) in concat]
 
 
 class StringRebuildRule(Rule):
@@ -249,11 +263,7 @@ class StringRebuildRule(Rule):
     def evaluate(self, ctx: RuleContext) -> list[Finding]:
         sites: list[tuple[str, Node | None]] = []
 
-        concat_nodes = [
-            node
-            for node in ctx.nodes("BinaryExpression")
-            if node.operator == "+" and _is_literal_concat(node)
-        ]
+        concat_nodes = _literal_concat_nodes(ctx.nodes("BinaryExpression"))
         nested = {
             id(side)
             for node in concat_nodes

@@ -139,7 +139,10 @@ class RuleContext:
     # -- indices ---------------------------------------------------------------
 
     def nodes(self, *types: str) -> list[Node]:
-        """All AST nodes of the given types (one cached walk, any order)."""
+        """All AST nodes of the given types (one cached walk).
+
+        Within one type, every node is listed before its descendants.
+        """
         if self._nodes_by_type is None:
             index: dict[str, list[Node]] = {}
             stack = [self.program]

@@ -248,31 +248,22 @@ def test_reference_misreads_ternary_before_fractional_number():
 
 
 def test_optional_chain_digit_guard_in_every_tier():
-    """The digit lookahead must hold in all three scanner tiers: the flat
-    ``findall`` tier, the ``finditer`` master-regex tier, and the
-    per-character fallback."""
+    """The digit lookahead must hold in both scanners: the flat
+    ``findall`` scanner and the per-character exact scanner."""
     source = "a?.5:0;"
     expected = ["a", "?", ".5", ":", "0", ";"]
 
-    # Tier 1+2 via the public entry point (flat handles this source).
+    # The flat scanner via the public entry point (it handles this source).
     assert [t.value for t in tokenize(source)][:-1] == expected
 
-    # Tier 2 explicitly: skip the flat tier.
-    exact = new_lexer.Lexer(source)
-    assert [t.value for t in exact._scan_iter()][:-1] == expected
-
-    # Tier 3 explicitly: the stateful fallback, one token at a time.
+    # The exact scanner explicitly, one token at a time.
     fallback = new_lexer.Lexer(source)
     while fallback.pos < fallback.length:
         fallback._scan_one()
     assert [t.value for t in fallback.tokens] == expected
 
-    # And the chaining case still munches ``?.`` everywhere.
-    for scan in (
-        lambda: tokenize("a?.b;"),
-        lambda: new_lexer.Lexer("a?.b;")._scan_iter(),
-    ):
-        assert [t.value for t in scan()][:2] == ["a", "?."]
+    # And the chaining case still munches ``?.``.
+    assert [t.value for t in tokenize("a?.b;")][:2] == ["a", "?."]
 
 
 def test_regex_after_if_paren_diverges_by_design():
@@ -284,6 +275,114 @@ def test_regex_after_if_paren_diverges_by_design():
     assert any(t.type is TokenType.REGULAR_EXPRESSION for t in tokenize(source))
     old_types = [t.type for t in reference_lexer.tokenize(source)]
     assert TokenType.REGULAR_EXPRESSION not in old_types  # frozen bug
+
+
+# -- resuming after the flat scanner stops ------------------------------------
+
+
+def _with_templates(source: str) -> str:
+    """``source`` with `` `t${x}` `` after the first ``;`` token at or past
+    each quarter mark, so the flat scanner stops at the first one and the
+    exact scanner lexes the rest."""
+    cuts = []
+    for quarter in (1, 2, 3):
+        mark = len(source) * quarter // 4
+        for token in reference_lexer.tokenize(source):
+            if token.value == ";" and token.end >= mark:
+                cuts.append(token.end)
+                break
+    for cut in sorted(set(cuts), reverse=True):
+        source = source[:cut] + "`t${x}`" + source[cut:]
+    return source
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_resumed_scan_matches_reference(index):
+    source = _with_templates(CORPUS[index])
+    live = tokenize(source, include_comments=True)
+    assert any(t.type is TokenType.TEMPLATE for t in live)
+    assert _signature(live) == _signature(
+        reference_lexer.tokenize(source, include_comments=True)
+    )
+    assert _signature(tokenize(source)) == _signature(reference_lexer.tokenize(source))
+
+
+def test_resumed_scan_lexes_latin1_identifiers():
+    """The exact scanner takes U+0080–U+00FF as identifier characters, as
+    the flat scanner and the reference do."""
+    source = "`t`; var é = ñ; \xb5\xe9 = 1;"
+    assert _signature(tokenize(source)) == _signature(reference_lexer.tokenize(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "`t`; if (x) /re/.test(y);",
+        "if (f(`t`)) /re/.test(y);",  # both "(" are open when the flat scan stops
+        "while (a) /b/g.exec(c);",  # the flat scan stops at the slash itself
+    ],
+)
+def test_resumed_scan_rebuilds_statement_parens(source):
+    """The flat scanner keeps no paren stack; the exact scanner must still
+    know that the ``)`` before the slash closes a statement head."""
+    tokens = tokenize(source)
+    assert [t.type for t in tokens].count(TokenType.REGULAR_EXPRESSION) == 1
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'y = /a"b/; z = "c";',  # a phantom string straddles the regex end
+        "y = /'/; z = 'q';",
+        "a = 1;\r\n`t`;\r\nb = c / d; /* x\r\n */ e;",
+        "a = '\\\n'; `t`; b;",
+    ],
+)
+def test_resumed_scan_from_mid_file_matches_reference(source):
+    assert _signature(tokenize(source, include_comments=True)) == _signature(
+        reference_lexer.tokenize(source, include_comments=True)
+    )
+
+
+def test_resumed_scan_keeps_word_before_identifier_escape():
+    """The flat scanner stops at the backslash; the word it already emitted
+    is handed back so the escape continues it (the reference has no
+    identifier escapes to compare with)."""
+    tokens = tokenize("x = 1; in\\u0061 = a\\u{62};")
+    assert [(t.type, t.value, t.start) for t in tokens][4:7] == [
+        (TokenType.IDENTIFIER, "in\\u0061", 7),
+        (TokenType.PUNCTUATOR, "=", 16),
+        (TokenType.IDENTIFIER, "a\\u{62}", 18),
+    ]
+
+
+def test_escaped_newline_in_substitution_counts_a_line():
+    """A ``\\`` + newline inside ``${ }`` code is still a line break: the
+    token after the template is on line 2 and ``y`` on line 3."""
+    tokens = tokenize("x=`${ a \\\nb}`;\ny;")
+    assert [(t.value, t.line) for t in tokens][3:5] == [(";", 2), ("y", 3)]
+
+
+# -- numeric separators -------------------------------------------------------
+
+
+def test_numeric_separators_diverge_by_design():
+    """ES2021 ``_`` separators: the reference rejected them, the live lexer
+    keeps them in the raw value."""
+    source = "var a = 1_000 + 0xFF_FF + 0b1_0 + 0o7_7 + 1.5_5e1_0 + .5_5 + 1_000n;"
+    numbers = [t.value for t in tokenize(source) if t.type is TokenType.NUMERIC]
+    assert numbers == ["1_000", "0xFF_FF", "0b1_0", "0o7_7", "1.5_5e1_0", ".5_5", "1_000n"]
+    with pytest.raises(ValueError, match="Identifier starts immediately after number"):
+        reference_lexer.tokenize(source)
+
+
+@pytest.mark.parametrize("snippet", ["1__0", "1_", "0_1", "07_7", "0x_1", "1._5", "1_.5"])
+def test_misplaced_numeric_separator_errors_agree_with_reference(snippet):
+    with pytest.raises(ValueError) as new_error:
+        tokenize(snippet)
+    with pytest.raises(ValueError) as old_error:
+        reference_lexer.tokenize(snippet)
+    assert str(new_error.value) == str(old_error.value)
 
 
 # -- codegen round-trip -----------------------------------------------------
@@ -306,6 +405,7 @@ ROUND_TRIP = [
     "x = (a ? b : c) ?? d;",
     "b = a ? .5 : 0;",
     "a?.5:0;",
+    "var n = 1_000 + 0xFF_FF + 1.5_5e1_0 + 1_000n;",
 ]
 
 
