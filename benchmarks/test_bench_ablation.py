@@ -2,7 +2,7 @@
 
 - classifier chain vs. independent binary relevance (§III-D3),
 - n-grams + hand-picked features vs. n-grams alone,
-- data-flow features on vs. off (the CF-only timeout fallback),
+- data-flow features on vs. off (the CF-only fallback past the DFG pair cap),
 - threshold sweep around the paper's 10% operating point.
 """
 
@@ -72,24 +72,28 @@ def test_ngrams_alone_vs_full_features(benchmark, context):
     assert results["full"] >= results["ngrams_only"] - 0.05
 
 
-def test_data_flow_ablation(benchmark, context):
+def test_data_flow_ablation(benchmark, context, monkeypatch):
+    import repro.flows.dfg as dfg
+
     train, test = _level2_sets(context)
 
     def run():
         results = {}
-        for name, timeout in (("with_df", 120.0), ("cf_only", 0.0)):
-            detector = Level2Detector(
-                n_estimators=10, random_state=5, data_flow_timeout=timeout
-            )
-            detector.fit(train.sources, train.Y)
-            prediction = (detector.predict_proba(test.sources) >= 0.5).astype(int)
+        for name, pair_cap in (("with_df", dfg.MAX_DATA_FLOW_PAIRS), ("cf_only", 0)):
+            with monkeypatch.context() as patch:
+                # A pair cap of 0 sends every file with a def→use edge
+                # down the CF-only fallback.
+                patch.setattr(dfg, "MAX_DATA_FLOW_PAIRS", pair_cap)
+                detector = Level2Detector(n_estimators=10, random_state=5)
+                detector.fit(train.sources, train.Y)
+                prediction = (detector.predict_proba(test.sources) >= 0.5).astype(int)
             results[name] = exact_match_accuracy(test.Y, prediction)
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\nexact-match: with-DF={results['with_df']:.2%} CF-only={results['cf_only']:.2%}")
     # The CF-only fallback must stay usable (paper keeps analysing after
-    # the 2-minute timeout).
+    # the 2-minute timeout, here the DFG pair cap).
     assert results["cf_only"] >= 0.3
 
 

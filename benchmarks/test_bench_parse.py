@@ -166,7 +166,7 @@ def test_bench_parse_tokenize_reference(benchmark, corpus_mix):
 def test_bench_parse_enhance_end_to_end(benchmark, corpus_mix):
     """Full parse + scope + flow-graph build: the downstream beneficiary."""
     sample = corpus_mix[::3]
-    result = benchmark(lambda: [enhance(s, data_flow_timeout=5) for s in sample])
+    result = benchmark(lambda: [enhance(s) for s in sample])
     assert len(result) == len(sample)
     _record_rate(benchmark, len(sample))
 
@@ -220,12 +220,12 @@ def test_bench_parse_enhance_wild_bundles(benchmark, wild_bundles):
     bundle-shaped workload (paired alternating passes, ratio of mins).
     """
     reference_times, live_times = _time_paired(
-        lambda s: reference_parser.enhance(s, data_flow_timeout=5),
-        lambda s: enhance(s, data_flow_timeout=5),
+        lambda s: reference_parser.enhance(s),
+        lambda s: enhance(s),
         wild_bundles,
     )
     result = benchmark(
-        lambda: [enhance(s, data_flow_timeout=5) for s in wild_bundles]
+        lambda: [enhance(s) for s in wild_bundles]
     )
     assert len(result) == len(wild_bundles)
     _record_rate(benchmark, len(wild_bundles), min(reference_times))
@@ -246,8 +246,8 @@ def test_bench_parse_enhance_corpus_mix(benchmark, corpus_mix):
     """Flat-AST parse+enhance on the short-token corpus distribution."""
     sample = corpus_mix[::2]
     reference_s = _time_once(
-        lambda s: reference_parser.enhance(s, data_flow_timeout=5), sample
+        lambda s: reference_parser.enhance(s), sample
     )
-    result = benchmark(lambda: [enhance(s, data_flow_timeout=5) for s in sample])
+    result = benchmark(lambda: [enhance(s) for s in sample])
     assert len(result) == len(sample)
     _record_rate(benchmark, len(sample), reference_s)

@@ -158,15 +158,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_deob(args: argparse.Namespace) -> int:
     import json
 
-    from repro.deob import Budget, deobfuscate
+    from repro.deob import deobfuscate
 
     try:
         source = Path(args.file).read_text(errors="replace")
     except OSError as error:
         print(f"{args.file}: cannot read ({error})", file=sys.stderr)
         return 1
-    budget = Budget(max_seconds=args.max_seconds) if args.max_seconds else None
-    result = deobfuscate(source, budget=budget)
+    result = deobfuscate(source)
     if args.json:
         print(json.dumps(result.to_json(), sort_keys=True))
     else:
@@ -377,12 +376,15 @@ def main(argv: list[str] | None = None) -> int:
         "--deob",
         action="store_true",
         help="normalize each file through the deobfuscation pipeline first "
-        "and classify the normal form",
+        "and classify the normal form; a file whose run trips the 20 s "
+        "watchdog gets a 'budget' error instead of a verdict",
     )
     classify.set_defaults(func=_cmd_classify)
 
     deob = commands.add_parser(
-        "deob", help="deobfuscate one file and print the normalized source"
+        "deob",
+        help="deobfuscate one file and print the normalized source "
+        "(unchanged when a budget trips or the input nests too deep)",
     )
     deob.add_argument("file")
     deob.add_argument("--out", default=None, help="write normalized source here")
@@ -390,12 +392,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json",
         action="store_true",
         help="print the full DeobResult (source + report) as JSON on stdout",
-    )
-    deob.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="wall-clock budget for the whole run (default 20s)",
     )
     deob.set_defaults(func=_cmd_deob)
 
@@ -434,7 +430,8 @@ def main(argv: list[str] | None = None) -> int:
     scan.add_argument(
         "--deob",
         action="store_true",
-        help="normalize each unit through the deobfuscation pipeline first",
+        help="normalize each unit through the deobfuscation pipeline first "
+        "(a run that trips the 20 s watchdog records a 'budget' error)",
     )
     scan.add_argument(
         "--no-fingerprint",

@@ -77,20 +77,15 @@ def analyze_file(
     detector: TransformationDetector,
     k: int = 4,
     threshold: float = 0.10,
-    data_flow_timeout: float = 120.0,
 ) -> FileReport:
-    """Produce a full :class:`FileReport` for one script.
-
-    ``data_flow_timeout`` bounds the data-flow pass per file; batch callers
-    triaging large corpora should lower it rather than accept the default.
-    """
+    """Produce a full :class:`FileReport` for one script."""
     if not passes_size_filter(source):
         return FileReport(
             admissible=False,
             rejection_reason="size outside the 512 B – 2 MB window",
         )
     try:
-        enhanced = enhance(source, data_flow_timeout=data_flow_timeout)
+        enhanced = enhance(source)
     except (SyntaxError, ValueError, RecursionError) as error:
         return FileReport(admissible=False, rejection_reason=f"unparseable: {error}")
     if not passes_content_filter(enhanced.program):

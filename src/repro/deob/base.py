@@ -25,14 +25,15 @@ class Budget:
     """Safety limits for one :class:`~repro.deob.engine.DeobEngine` run.
 
     The engine bails out (leaving the input unchanged, or stopping with
-    partial progress) rather than ever looping or scanning unboundedly on
-    adversarial input.
+    partial progress at the iteration cap) rather than ever looping or
+    scanning unboundedly on adversarial input.  Every cap counts work
+    except ``max_seconds``, the one last-resort watchdog: read once per
+    fixpoint iteration, its trip returns the input unchanged.
     """
 
     max_nodes: int = 400_000  #: refuse files whose AST exceeds this size
     max_iterations: int = 8  #: fixpoint iterations before giving up
-    max_seconds: float = 20.0  #: wall-clock ceiling for the whole run
-    max_pass_seconds: float = 5.0  #: a pass exceeding this is disabled
+    max_seconds: float = 20.0  #: whole-run wall-clock watchdog
     max_eval_depth: int = 3  #: nested eval/Function payload unwraps
     max_eval_ops: int = 2_000_000  #: JSFuck evaluator operation ceiling
 

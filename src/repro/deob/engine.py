@@ -160,30 +160,29 @@ class DeobEngine:
     # -- public API --------------------------------------------------------------
 
     def run(self, source: str) -> DeobResult:
-        """Normalize ``source``; never raises on malformed input."""
+        """Normalize ``source``; never raises on malformed input.
+
+        A budget trip, or a ``RecursionError`` anywhere in the run (parse,
+        rule re-runs, passes, codegen), returns the input unchanged with
+        the trip named in ``report.bailed``.
+        """
         started = time.perf_counter()
         report = DeobReport(passes=[PassStats(p.name) for p in self.passes])
         try:
             program = parse(source)
+        except RecursionError:
+            return self._bail(source, report, started, "recursion")
         except Exception as exc:
             report.error = f"input does not parse: {exc}"
             report.wall_time_ms = (time.perf_counter() - started) * 1000
             return DeobResult(source=source, report=report, changed=False)
-
-        report.nodes_before = count_nodes(program)
-        if report.nodes_before > self.budget.max_nodes:
-            return self._bail(source, report, started, "node-budget")
         try:
+            report.nodes_before = count_nodes(program)
+            if report.nodes_before > self.budget.max_nodes:
+                return self._bail(source, report, started, "node-budget")
             return self._fixpoint(source, program, report, started)
         except RecursionError:
-            # Codegen recurses on expression depth: a chain deep enough to
-            # exhaust the stack keeps the input, with the trip reported.
-            bailed = DeobReport(
-                passes=[PassStats(p.name) for p in self.passes],
-                nodes_before=report.nodes_before,
-                techniques_before=report.techniques_before,
-            )
-            return self._bail(source, bailed, started, "recursion")
+            return self._bail(source, report, started, "recursion")
 
     # -- internals ---------------------------------------------------------------
 
@@ -191,28 +190,36 @@ class DeobEngine:
         self, source: str, report: DeobReport, started: float, reason: str
     ) -> DeobResult:
         """The input unchanged, with the budget that tripped."""
-        report.bailed = reason
-        report.nodes_after = report.nodes_before
-        report.techniques_after = dict(report.techniques_before)
-        report.wall_time_ms = (time.perf_counter() - started) * 1000
-        return DeobResult(source=source, report=report, changed=False)
+        bailed = DeobReport(
+            passes=[PassStats(p.name) for p in self.passes],
+            nodes_before=report.nodes_before,
+            nodes_after=report.nodes_before,
+            techniques_before=report.techniques_before,
+            techniques_after=dict(report.techniques_before),
+            bailed=reason,
+            wall_time_ms=(time.perf_counter() - started) * 1000,
+        )
+        return DeobResult(source=source, report=bailed, changed=False)
 
     def _fixpoint(self, source, program, report, started) -> DeobResult:
-        """Run the passes to a fixpoint and generate the normal form."""
+        """Run the passes to a fixpoint and generate the normal form.
+
+        The whole-run ``max_seconds`` watchdog is read once per iteration;
+        when it trips, the run keeps its input rather than emit a
+        half-normalized source that depends on host speed.
+        """
         report.techniques_before = self._confidences(source)
         stats_by_name = {stats.name: stats for stats in report.passes}
 
         current_source = source
         seen_sources = {source}
         eval_unwraps = 0
-        disabled: set[str] = set()
         structural = [p for p in self.passes if not p.late]
         late = [p for p in self.passes if p.late]
 
         for _ in range(self.budget.max_iterations):
-            if self._out_of_time(started):
-                report.bailed = "time-budget"
-                break
+            if time.perf_counter() - started > self.budget.max_seconds:
+                return self._bail(source, report, started, "time-budget")
             report.iterations += 1
             ctx = PassContext(
                 source=current_source,
@@ -220,16 +227,12 @@ class DeobEngine:
                 budget=self.budget,
                 eval_unwraps=eval_unwraps,
             )
-            changed = self._run_passes(structural, program, ctx, stats_by_name, disabled, started, report)
-            if changed is None:  # time budget tripped mid-iteration
-                break
-            if not changed:
-                changed = self._run_passes(late, program, ctx, stats_by_name, disabled, started, report)
-                if changed is None:
-                    break
+            changed = self._run_passes(structural, program, ctx, stats_by_name)
+            if changed is None:
+                changed = self._run_passes(late, program, ctx, stats_by_name)
             eval_unwraps = ctx.eval_unwraps
             report.notes.extend(ctx.notes)
-            if not changed:
+            if changed is None:
                 break
             program = changed
             new_source = generate(program)
@@ -239,7 +242,7 @@ class DeobEngine:
             seen_sources.add(new_source)
             current_source = new_source
         else:
-            report.bailed = report.bailed or "iteration-budget"
+            report.bailed = "iteration-budget"
 
         report.eval_unwraps = eval_unwraps
         normalized = generate(program)
@@ -256,52 +259,31 @@ class DeobEngine:
             source=normalized, report=report, changed=normalized != source
         )
 
-    def _run_passes(self, passes, program, ctx, stats_by_name, disabled, started, report):
-        """Apply one round of passes; the rewritten program or False/None."""
+    def _run_passes(self, passes, program, ctx, stats_by_name):
+        """Apply one round of passes; the rewritten program, or ``None``."""
         changed = False
         for deob_pass in passes:
-            if deob_pass.name in disabled:
-                continue
-            if self._out_of_time(started):
-                report.bailed = "time-budget"
-                return program if changed else None
-            pass_started = time.perf_counter()
-            try:
-                result: PassResult = deob_pass.rewrite(program, ctx)
-            except RecursionError:
-                report.notes.append(f"{deob_pass.name}: recursion limit; disabled")
-                disabled.add(deob_pass.name)
-                continue
-            elapsed = time.perf_counter() - pass_started
-            if elapsed > self.budget.max_pass_seconds:
-                disabled.add(deob_pass.name)
-                report.notes.append(
-                    f"{deob_pass.name}: exceeded per-pass budget "
-                    f"({elapsed:.2f}s); disabled"
-                )
+            result: PassResult = deob_pass.rewrite(program, ctx)
             if result.changed:
                 stats = stats_by_name[deob_pass.name]
                 stats.applications += 1
                 stats.rewrites += result.rewrites
                 program = result.program
                 changed = True
-        return program if changed else False
-
-    def _out_of_time(self, started: float) -> bool:
-        return (time.perf_counter() - started) > self.budget.max_seconds
+        return program if changed else None
 
     def _findings(self, source: str):
+        """Rule findings for one program state; a source that does not
+        re-parse has none, but running out of stack ends the run."""
         try:
             return self.rules.analyze_source(source, data_flow=False)
+        except RecursionError:
+            raise
         except Exception:
             return []
 
     def _confidences(self, source: str) -> dict[str, float]:
-        try:
-            findings = self.rules.analyze_source(source, data_flow=False)
-        except Exception:
-            return {}
-        return max_confidence_by_technique(findings)
+        return max_confidence_by_technique(self._findings(source))
 
 
 def deobfuscate(

@@ -9,9 +9,9 @@ scripts; this module provides the substrate for that scale:
 - **parallel extraction** — feature extraction (the dominant cost) fans out
   across a ``ProcessPoolExecutor``; ``n_workers=1`` is an in-process serial
   fallback with bit-identical output;
-- **per-file fault isolation** — parse errors, ``RecursionError``, and
-  oversize inputs become per-file :class:`DetectionError` results instead of
-  aborting the batch;
+- **per-file fault isolation** — parse errors, ``RecursionError``,
+  oversize inputs and deob watchdog trips become per-file
+  :class:`DetectionError` results instead of aborting the batch;
 - **LRU feature cache** — keyed by source hash, so repeated scripts (the
   §IV-C malicious "waves" are near-duplicates) skip extraction entirely;
 - **rules-only triage** — the signature engine (``repro.rules``) can
@@ -37,7 +37,7 @@ from repro.corpus.filters import MAX_BYTES
 from repro.detector.level1 import Level1Detector
 from repro.detector.level2 import DEFAULT_K, DEFAULT_THRESHOLD, Level2Detector
 from repro.features.extractor import PairedFeatureExtractor
-from repro.outcome import DetectionError, FileOutcome, detection_error
+from repro.outcome import DEOB_WATCHDOG, DetectionError, FileOutcome, detection_error
 from repro.rules.engine import RuleEngine, TriageResult, default_engine
 from repro.rules.findings import Finding, max_confidence_by_technique
 from repro.transform.base import OBFUSCATION_TECHNIQUES, Technique
@@ -58,7 +58,7 @@ class BatchStats:
     errors: int = 0
     cache_hits: int = 0
     df_timeouts: int = 0
-    #: files whose flow analysis (DFG timeout or interproc budget) degraded
+    #: files whose flow analysis (DFG pair cap or interproc budget) degraded
     flow_timeouts: int = 0
     wall_time: float = 0.0
     extract_time: float = 0.0
@@ -469,11 +469,20 @@ class BatchInferenceEngine:
                 len(outcome.report.techniques_removed) for outcome in deob_results
             )
             stats.deob_time = time.perf_counter() - t_deob
+            # The watchdog is the one clock that can end a run; its trip is
+            # an explicit error, never a verdict on a half-normalized source.
+            for index, outcome in enumerate(deob_results):
+                if outcome.report.bailed == "time-budget":
+                    results[index] = DetectionResult(
+                        level1=set(), transformed=False, error=DEOB_WATCHDOG
+                    )
 
         if self.triage != "off":
             t_rules = time.perf_counter()
             deep = "auto" if self.triage == "only" else False
             for index, source in enumerate(sources):
+                if results[index] is not None:
+                    continue
                 triage = self.rules.triage(source, deep=deep)
                 if self.triage == "only" or triage.decided:
                     results[index] = self._result_from_triage(triage, k, threshold)

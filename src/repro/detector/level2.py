@@ -31,12 +31,9 @@ class Level2Detector:
         random_state: int = 0,
         ngram_dims: int = 256,
         use_chain: bool = True,
-        data_flow_timeout: float = 120.0,
         n_jobs: int = 1,
     ) -> None:
-        self.extractor = FeatureExtractor(
-            level=2, ngram_dims=ngram_dims, data_flow_timeout=data_flow_timeout
-        )
+        self.extractor = FeatureExtractor(level=2, ngram_dims=ngram_dims)
         factory = ForestSpec(
             n_estimators=n_estimators,
             max_depth=max_depth,

@@ -69,7 +69,7 @@ class DetectionResult:
     findings: list[Finding] = field(default_factory=list)
     triaged: bool = False
     deob: "DeobResult | None" = None
-    #: a flow analysis (DFG timeout or interproc budget cap) silently
+    #: a flow analysis (DFG pair cap or interproc budget cap) silently
     #: degraded while extracting this file's features
     flow_timeout: bool = False
 
@@ -101,7 +101,6 @@ class TransformationDetector:
         random_state: int = 0,
         ngram_dims: int = 256,
         use_chain: bool = True,
-        data_flow_timeout: float = 120.0,
         n_jobs: int = 1,
     ) -> None:
         self.level1 = Level1Detector(
@@ -110,7 +109,6 @@ class TransformationDetector:
             random_state=random_state,
             ngram_dims=ngram_dims,
             use_chain=use_chain,
-            data_flow_timeout=data_flow_timeout,
             n_jobs=n_jobs,
         )
         self.level2 = Level2Detector(
@@ -119,7 +117,6 @@ class TransformationDetector:
             random_state=random_state,
             ngram_dims=ngram_dims,
             use_chain=use_chain,
-            data_flow_timeout=data_flow_timeout,
             n_jobs=n_jobs,
         )
 

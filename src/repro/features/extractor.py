@@ -119,13 +119,11 @@ class FeatureExtractor:
         self,
         level: int = 1,
         ngram_dims: int = 256,
-        data_flow_timeout: float = 120.0,
     ) -> None:
         if level not in (1, 2):
             raise ValueError("level must be 1 or 2")
         self.level = level
         self.ngram_dims = ngram_dims
-        self.data_flow_timeout = data_flow_timeout
         self.static_names = (
             list(GENERIC_FEATURES) if level == 1 else list(TECHNIQUE_FEATURES)
         )
@@ -173,7 +171,7 @@ class FeatureExtractor:
 
     def extract(self, source: str) -> np.ndarray:
         """Feature vector for one script (parses + enhances internally)."""
-        enhanced = enhance(source, data_flow_timeout=self.data_flow_timeout)
+        enhanced = enhance(source)
         return self.extract_from_enhanced(enhanced)
 
     def extract_matrix(self, sources: list[str]) -> np.ndarray:
@@ -196,10 +194,6 @@ class PairedFeatureExtractor:
     def __init__(self, level1: FeatureExtractor, level2: FeatureExtractor) -> None:
         self.level1 = level1
         self.level2 = level2
-
-    @property
-    def data_flow_timeout(self) -> float:
-        return max(self.level1.data_flow_timeout, self.level2.data_flow_timeout)
 
     def extract_pair_from_enhanced(
         self, enhanced: EnhancedAST
@@ -232,7 +226,7 @@ class PairedFeatureExtractor:
 
     def extract_pair(self, source: str) -> FileOutcome:
         """One-pass extraction of both vectors (raises on invalid JS)."""
-        enhanced = enhance(source, data_flow_timeout=self.data_flow_timeout)
+        enhanced = enhance(source)
         vector1, vector2, findings = self.extract_pair_from_enhanced(enhanced)
         return FileOutcome(
             vector1=vector1,

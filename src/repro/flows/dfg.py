@@ -6,13 +6,12 @@ variable is defined at the source node and used at the destination node."*
 
 Definition sites are declaration identifiers and assignment targets (from
 the scope analysis); use sites are value references of the same binding.
-A configurable timeout mirrors the paper's two-minute limit: when exceeded,
-the enhanced AST keeps control flow only.
+The paper's two-minute limit is a counted cap on def→use pairs, so the
+fallback depends on the source alone: past the cap the enhanced AST keeps
+control flow only.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.js.ast_nodes import Node
 from repro.js.scope import Scope, analyze_scopes
@@ -32,59 +31,44 @@ class DataFlowEdge:
         return f"DF({self.name}: {self.source.start}->{self.target.start})"
 
 
-class DataFlowTimeout(Exception):
-    """Raised internally when edge construction exceeds the time budget."""
-
-
-#: How many def→use pairs to emit between deadline checks.
-_DEADLINE_CHECK_INTERVAL = 1024
+#: Cap on def→use pairs per file: the paper's two-minute data-flow limit
+#: (§III-A) as counted work.  The largest file of the benchmark's
+#: classify-mix workload makes ~12k pairs.
+MAX_DATA_FLOW_PAIRS = 500_000
 
 
 def build_data_flow(
     program: Node,
     scope: Scope | None = None,
-    timeout: float = 120.0,
     max_edges_per_binding: int = 4096,
 ) -> list[DataFlowEdge] | None:
-    """Build def→use edges; returns ``None`` on timeout (CF-only fallback).
+    """Build def→use edges; ``None`` past :data:`MAX_DATA_FLOW_PAIRS`
+    (the CF-only fallback).
 
     ``max_edges_per_binding`` bounds the quadratic blow-up for bindings with
     thousands of definitions and uses (seen in machine-generated code).
     """
     if scope is None:
         scope = analyze_scopes(program)
-    deadline = time.monotonic() + timeout
     edges: list[DataFlowEdge] = []
-    # The deadline check is amortized: ``time.monotonic`` is far more
-    # expensive than appending one edge, so it runs once per binding and
-    # then once per block of def×use pairs instead of per definition.
-    budget = _DEADLINE_CHECK_INTERVAL
-    try:
-        for binding in scope.iter_all_bindings():
-            if not binding.assignments or not binding.references:
-                continue
-            if time.monotonic() > deadline:
-                raise DataFlowTimeout
-            count = 0
-            for definition in binding.assignments:
-                for use in binding.references:
-                    if use is definition:
-                        continue
-                    edges.append(DataFlowEdge(definition, use, binding.name))
-                    count += 1
-                    budget -= 1
-                    if budget <= 0:
-                        budget = _DEADLINE_CHECK_INTERVAL
-                        if time.monotonic() > deadline:
-                            raise DataFlowTimeout
-                    if count >= max_edges_per_binding:
-                        break
+    for binding in scope.iter_all_bindings():
+        if not binding.assignments or not binding.references:
+            continue
+        count = 0
+        for definition in binding.assignments:
+            for use in binding.references:
+                if use is definition:
+                    continue
+                edges.append(DataFlowEdge(definition, use, binding.name))
+                count += 1
                 if count >= max_edges_per_binding:
                     break
-    except DataFlowTimeout:
-        # CF-only fallback: nodes must not keep partial data_in/data_out
-        # lists, so annotation happens only after a complete build.
-        return None
+            if count >= max_edges_per_binding:
+                break
+        if len(edges) > MAX_DATA_FLOW_PAIRS:
+            # CF-only fallback: nodes must not keep partial data_in/data_out
+            # lists, so annotation happens only after a complete build.
+            return None
     for edge in edges:
         source, target = edge.source, edge.target
         out = getattr(source, "data_out", None)

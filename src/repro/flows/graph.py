@@ -31,7 +31,7 @@ class EnhancedAST:
     flat: FlatIndex
     control_flow: list[ControlFlowEdge] = field(default_factory=list)
     data_flow: list[DataFlowEdge] | None = None
-    #: True when a flow analysis (DFG timeout or interproc budget breach)
+    #: True when a flow analysis (DFG pair cap or interproc budget breach)
     #: silently degraded for this file.  Threaded through
     #: ``DetectionResult``, scan store records, and serve ``/metrics``.
     flow_timeout: bool = False
@@ -39,7 +39,7 @@ class EnhancedAST:
 
     @property
     def data_flow_available(self) -> bool:
-        """False when the data-flow pass hit its timeout (CF-only fallback)."""
+        """False when the data-flow pass hit its pair cap (CF-only fallback)."""
         return self.data_flow is not None
 
     def interproc(self, budget=None):
@@ -67,7 +67,7 @@ class EnhancedAST:
         return len(self.flat)
 
 
-def enhance(source: str, data_flow_timeout: float = 120.0) -> EnhancedAST:
+def enhance(source: str) -> EnhancedAST:
     """Parse and enhance a script with control and data flows.
 
     Raises :class:`repro.js.parser.ParseError` (or ``LexerError``) on
@@ -79,7 +79,7 @@ def enhance(source: str, data_flow_timeout: float = 120.0) -> EnhancedAST:
     flat = build_flat_index(program)
     scope = analyze_scopes(program)
     control_flow = build_control_flow(program)
-    data_flow = build_data_flow(program, scope=scope, timeout=data_flow_timeout)
+    data_flow = build_data_flow(program, scope=scope)
     return EnhancedAST(
         source=source,
         program=program,

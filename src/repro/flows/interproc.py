@@ -21,17 +21,17 @@ RC4 keystream.  This pass makes that shape statically legible:
    (indexes a resolved string table with ``param ± offset``, optionally
    through ``atob`` or charcode/XOR RC4-style mixing).
 
-The pass is budgeted like the DFG: node/function/time caps, and any
-budget breach degrades to :meth:`InterprocResult.empty` — byte-identical
-to an analysis that found nothing, never an exception.  Layering rule
-(enforced by ``scripts/lint.sh``): this module must not import
-``repro.rules``, ``repro.detector``, or ``repro.deob`` — those layers
-consume the summaries, never the other way around.
+The pass is budgeted by counted work, like the DFG: node, function and
+call-depth caps, never the clock, and any budget breach degrades to
+:meth:`InterprocResult.empty` — byte-identical to an analysis that found
+nothing, never an exception.  Layering rule (enforced by
+``scripts/lint.sh``): this module must not import ``repro.rules``,
+``repro.detector``, or ``repro.deob`` — those layers consume the
+summaries, never the other way around.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -65,15 +65,10 @@ class InterprocBudget:
 
     max_nodes: int = 100_000  #: AST nodes visited across all walks
     max_functions: int = 512  #: functions summarised
-    max_seconds: float = 0.5  #: wall-clock ceiling
     max_depth: int = 4  #: nested abstract-call evaluation depth
 
 
 DEFAULT_BUDGET = InterprocBudget()
-
-#: How many budget ticks between ``time.monotonic`` checks (amortized,
-#: mirroring ``flows/dfg.py``).
-_DEADLINE_CHECK_INTERVAL = 512
 
 
 class BudgetExceeded(Exception):
@@ -81,24 +76,17 @@ class BudgetExceeded(Exception):
 
 
 class _Ticker:
-    """Node/time budget shared by every walk of one analysis."""
+    """Node budget shared by every walk of one analysis."""
 
-    __slots__ = ("remaining", "deadline", "until_check")
+    __slots__ = ("remaining",)
 
     def __init__(self, budget: InterprocBudget) -> None:
         self.remaining = budget.max_nodes
-        self.deadline = time.monotonic() + budget.max_seconds
-        self.until_check = _DEADLINE_CHECK_INTERVAL
 
     def tick(self) -> None:
         self.remaining -= 1
         if self.remaining <= 0:
             raise BudgetExceeded("node budget")
-        self.until_check -= 1
-        if self.until_check <= 0:
-            self.until_check = _DEADLINE_CHECK_INTERVAL
-            if time.monotonic() > self.deadline:
-                raise BudgetExceeded("time budget")
 
 
 # -- summaries ----------------------------------------------------------------

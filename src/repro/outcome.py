@@ -31,11 +31,18 @@ RECURSION_TOKENS = "token stream exceeds the recursion limit"
 class DetectionError:
     """Why one file of a batch could not be classified."""
 
-    kind: str  #: "oversize" | "parse" | "recursion" | "internal"
+    #: "oversize" | "parse" | "recursion" | "budget" | "internal";
+    #: "budget" is the deob run's wall-clock watchdog, the one clock that
+    #: can end an analysis (every other cap counts work).
+    kind: str
     message: str
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.message}"
+
+
+#: The error of a file whose deob run tripped ``Budget.max_seconds``.
+DEOB_WATCHDOG = DetectionError("budget", "deob run exceeded its wall-clock watchdog")
 
 
 def detection_error(
@@ -55,7 +62,7 @@ class FileOutcome:
 
     ``vector1``/``vector2`` are the level-1 and level-2 feature vectors,
     ``findings`` the signature-engine evidence computed in the same pass.
-    ``df_available`` is False when the data-flow pass timed out, and
+    ``df_available`` is False when the data-flow pass hit its pair cap, and
     ``flow_timeout`` is True when any flow analysis degraded.  A failed
     file carries only ``error``.
     """

@@ -355,8 +355,8 @@ class DynamicCodeSinkRule(Rule):
     assembles a string at runtime and whose use reaches an ``eval`` /
     ``Function`` / string-``setTimeout`` argument is the classic decode-
     then-execute shape.  Also fires on a rebuild expression passed to a
-    sink directly.  When the data-flow pass timed out (or triage skipped
-    it), the scope graph's reference lists stand in for the edges.
+    sink directly.  When the data-flow pass hit its pair cap (or triage
+    skipped it), the scope graph's reference lists stand in for the edges.
     """
 
     rule_id = "R005"

@@ -40,8 +40,6 @@ class RuleContext:
         Whether :attr:`enhanced` may build data-flow edges when it has to
         parse itself (the triage path disables this: taint rules degrade
         gracefully and triage stays cheap).
-    data_flow_timeout:
-        Budget for the data-flow pass when it does run.
     """
 
     def __init__(
@@ -49,14 +47,12 @@ class RuleContext:
         source: str | None = None,
         enhanced: EnhancedAST | None = None,
         data_flow: bool = True,
-        data_flow_timeout: float = 120.0,
     ) -> None:
         if source is None and enhanced is None:
             raise ValueError("RuleContext needs source text or an EnhancedAST")
         self._source = enhanced.source if enhanced is not None else source
         self._enhanced = enhanced
         self._data_flow = data_flow
-        self._data_flow_timeout = data_flow_timeout
         self._tokens: list[Token] | None = enhanced.tokens if enhanced is not None else None
         self._token_list: list[Token] | None = None
         self._summary = None
@@ -103,11 +99,7 @@ class RuleContext:
             flat = build_flat_index(program)
             scope = analyze_scopes(program)
             control_flow = build_control_flow(program)
-            data_flow = (
-                build_data_flow(program, scope=scope, timeout=self._data_flow_timeout)
-                if self._data_flow
-                else None
-            )
+            data_flow = build_data_flow(program, scope=scope) if self._data_flow else None
             self._enhanced = EnhancedAST(
                 source=self.source,
                 program=program,

@@ -93,10 +93,8 @@ class RuleEngine:
     def __init__(
         self,
         rules: tuple[Rule, ...] | list[Rule] | None = None,
-        data_flow_timeout: float = 120.0,
     ) -> None:
         self.rules: tuple[Rule, ...] = tuple(DEFAULT_RULES if rules is None else rules)
-        self.data_flow_timeout = data_flow_timeout
         self._by_stage: dict[str, list[Rule]] = {
             STAGE_TEXT: [],
             STAGE_TOKENS: [],
@@ -113,11 +111,7 @@ class RuleEngine:
 
     def analyze_source(self, source: str, data_flow: bool = True) -> list[Finding]:
         """Parse ``source`` and run every rule (raises on invalid JS)."""
-        ctx = RuleContext(
-            source=source,
-            data_flow=data_flow,
-            data_flow_timeout=self.data_flow_timeout,
-        )
+        ctx = RuleContext(source=source, data_flow=data_flow)
         return self._evaluate(ctx, self.rules)
 
     # -- staged triage -----------------------------------------------------------
@@ -138,9 +132,7 @@ class RuleEngine:
         marker one of the AST signatures needs (hex identifiers, dynamic
         code callees, escape-saturated strings, dispatcher vocabulary).
         """
-        ctx = RuleContext(
-            source=source, data_flow=False, data_flow_timeout=self.data_flow_timeout
-        )
+        ctx = RuleContext(source=source, data_flow=False)
         result = TriageResult()
 
         result.findings.extend(self._evaluate(ctx, self._by_stage[STAGE_TEXT]))

@@ -198,21 +198,6 @@ class TestFileReport:
         report = analyze_file(source, trained_detector)
         assert not report.admissible
 
-    def test_data_flow_timeout_is_threaded(self, trained_detector, regular_corpus, monkeypatch):
-        import repro.analysis.report as report_module
-
-        seen = {}
-        real_enhance = report_module.enhance
-
-        def spy(source, data_flow_timeout=120.0):
-            seen["timeout"] = data_flow_timeout
-            return real_enhance(source, data_flow_timeout=data_flow_timeout)
-
-        monkeypatch.setattr(report_module, "enhance", spy)
-        report = analyze_file(regular_corpus[0], trained_detector, data_flow_timeout=7.5)
-        assert report.admissible
-        assert seen["timeout"] == 7.5
-
 
 class TestValidation:
     @pytest.fixture(scope="class")

@@ -15,13 +15,14 @@ from repro.deob import (
     default_passes,
     deobfuscate,
 )
-from repro.deob.base import PassContext
+from repro.deob.base import DeobPass, PassContext, PassResult
+from repro.deob.constant_fold import ConstantFoldPass
 from repro.deob.score import round_trip, rules_classifier
 from repro.detector.batch import BatchInferenceEngine
 from repro.js.ast_nodes import to_dict
 from repro.js.codegen import generate
 from repro.js.parser import parse
-from repro.rules.engine import default_engine
+from repro.rules.engine import RuleEngine, default_engine
 from repro.transform import TransformationPipeline
 from repro.transform.base import TECHNIQUES, Technique, get_transformer
 
@@ -127,9 +128,24 @@ class TestBudgets:
         assert not result.changed
 
     def test_time_budget_runs_no_passes(self, deob_source):
+        """The whole-run watchdog keeps the input rather than emit a
+        normal form that depends on how far the run got."""
         result = DeobEngine(budget=Budget(max_seconds=0.0)).run(deob_source)
         assert result.report.bailed == "time-budget"
         assert result.report.passes_applied == []
+        assert result.source == deob_source
+        assert not result.changed
+
+    def test_watchdog_trip_is_a_budget_error_under_batch_deob(
+        self, deob_source, trained_detector
+    ):
+        engine = trained_detector.batch_engine(cache_size=0)
+        engine._deob_engine = DeobEngine(budget=Budget(max_seconds=0.0), rules=engine.rules)
+        batch = engine.classify([deob_source], deob=True)
+        assert batch[0].error is not None and batch[0].error.kind == "budget"
+        assert batch[0].deob.report.bailed == "time-budget"
+        assert batch[0].deob.source == deob_source
+        assert batch.stats.errors == 1
 
     def test_eval_depth_budget_blocks_unwrap(self, deob_source, engine):
         transformed = get_transformer(Technique.NO_ALPHANUMERIC).transform(
@@ -194,6 +210,94 @@ class TestAdversarialInputs:
         for source in ("", ";", "// only a comment\n"):
             result = engine.run(source)
             assert result.report.error is None
+
+
+class _Log:
+    """Ordered record of pass and rule calls in one run."""
+
+    def __init__(self) -> None:
+        self.events: list[str] = []
+
+    def after_raise(self) -> list[str]:
+        return self.events[self.events.index("raise") + 1 :]
+
+
+class _SpyPass(DeobPass):
+    """Wraps a pass and logs each call (optionally raising instead)."""
+
+    def __init__(self, log: _Log, inner: DeobPass | None = None, raises: bool = False):
+        self.log = log
+        self.inner = inner
+        self.raises = raises
+        self.name = inner.name if inner is not None else ("raiser" if raises else "spy")
+
+    def rewrite(self, program, ctx):
+        if self.raises:
+            self.log.events.append("raise")
+            raise RecursionError("maximum recursion depth exceeded")
+        self.log.events.append(f"pass:{self.name}")
+        if self.inner is None:
+            return PassResult(program=program)
+        return self.inner.rewrite(program, ctx)
+
+
+class _RecursingRules(RuleEngine):
+    """A rule engine whose ``analyze_source`` runs out of stack on call N."""
+
+    def __init__(self, log: _Log, fail_on_call: int) -> None:
+        super().__init__()
+        self.log = log
+        self.fail_on_call = fail_on_call
+        self.calls = 0
+
+    def analyze_source(self, source, data_flow=True):
+        self.calls += 1
+        if self.calls == self.fail_on_call:
+            self.log.events.append("raise")
+            raise RecursionError("maximum recursion depth exceeded")
+        self.log.events.append("rules")
+        return super().analyze_source(source, data_flow=data_flow)
+
+
+#: Constant folding rewrites it, so a run that ignored a failure would
+#: emit a changed normal form.
+FOLDABLE = "var total = 1 + 2;\nconsole.log(total * 3);\n"
+
+
+class TestRecursionPolicy:
+    """A ``RecursionError`` anywhere ends the run with the input verbatim."""
+
+    def test_pass_recursion_ends_the_run(self):
+        log = _Log()
+        passes = [
+            _SpyPass(log, ConstantFoldPass()),
+            _SpyPass(log, raises=True),
+            _SpyPass(log),
+        ]
+        result = DeobEngine(passes=passes).run(FOLDABLE)
+        assert result.report.bailed == "recursion"
+        assert result.source == FOLDABLE
+        assert not result.changed
+        assert result.report.passes_applied == []
+        assert log.events[:2] == ["pass:constant-fold", "raise"]
+        assert log.after_raise() == []
+
+    @pytest.mark.parametrize(
+        "fail_on_call", [1, 2, 3], ids=["before", "first-iteration", "re-run"]
+    )
+    def test_rule_rerun_recursion_ends_the_run(self, fail_on_call):
+        """Calls: 1 scores the input, 2 feeds iteration one, 3 re-runs the
+        rules on the folded source for iteration two."""
+        log = _Log()
+        rules = _RecursingRules(log, fail_on_call)
+        engine = DeobEngine(passes=[_SpyPass(log, ConstantFoldPass())], rules=rules)
+        result = engine.run(FOLDABLE)
+        assert result.report.bailed == "recursion"
+        assert result.source == FOLDABLE
+        assert not result.changed
+        assert result.report.passes_applied == []
+        assert rules.calls == fail_on_call
+        assert log.after_raise() == []
 
 
 class TestPassPurity:

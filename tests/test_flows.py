@@ -97,9 +97,13 @@ class TestDataFlow:
         edges = [e for e in build_data_flow(program) if e.name == "x"]
         assert len(edges) == 4  # 2 defs × 2 uses
 
-    def test_timeout_returns_none(self):
+    def test_timeout_returns_none(self, monkeypatch):
+        """The paper's data-flow timeout is a counted pair cap."""
+        import repro.flows.dfg as dfg_mod
+
+        monkeypatch.setattr(dfg_mod, "MAX_DATA_FLOW_PAIRS", 0)
         program = parse("var x = 1; f(x);")
-        assert build_data_flow(program, timeout=0.0) is None
+        assert build_data_flow(program) is None
 
     def test_edge_cap_per_binding(self):
         uses = " ".join(f"f(x);" for _ in range(30))
@@ -120,34 +124,46 @@ class TestDataFlow:
             assert edge in edge.source.get("data_out", [])
             assert edge in edge.target.get("data_in", [])
 
-    def test_timeout_leaves_no_partial_annotations(self):
-        """A timed-out build must not leave data_in/data_out on nodes."""
+    def test_timeout_leaves_no_partial_annotations(self, monkeypatch):
+        """A build over the pair cap must not leave data_in/data_out on nodes."""
+        import repro.flows.dfg as dfg_mod
         from repro.js.visitor import walk
 
+        monkeypatch.setattr(dfg_mod, "MAX_DATA_FLOW_PAIRS", 0)
         program = parse("var x = 1; x = 2; f(x, x); var y = 3; g(y);")
-        assert build_data_flow(program, timeout=0.0) is None
+        assert build_data_flow(program) is None
         for node in walk(program):
             assert node.get("data_in") is None
             assert node.get("data_out") is None
 
     def test_midflight_timeout_rolls_back(self, monkeypatch):
-        """Timeout after some edges were built: no stale partial annotations."""
+        """Cap crossed after some bindings' edges were built: no stale
+        partial annotations."""
         import repro.flows.dfg as dfg_mod
         from repro.js.visitor import walk
 
-        program = parse("var a = 1; a = 2; f(a, a); var b = 3; b = 4; g(b, b);")
-        calls = {"n": 0}
-
-        def fake_monotonic():
-            calls["n"] += 1
-            return 0.0 if calls["n"] < 3 else 1e9
-
-        monkeypatch.setattr(dfg_mod.time, "monotonic", fake_monotonic)
-        assert build_data_flow(program, timeout=100.0) is None
-        assert calls["n"] >= 3  # timed out mid-build, not before the first edge
+        source = "var a = 1; a = 2; f(a, a); var b = 3; b = 4; g(b, b);"
+        assert len(build_data_flow(parse(source))) == 8  # 4 pairs per binding
+        monkeypatch.setattr(dfg_mod, "MAX_DATA_FLOW_PAIRS", 5)
+        program = parse(source)
+        assert build_data_flow(program) is None
         for node in walk(program):
             assert node.get("data_in") is None
             assert node.get("data_out") is None
+
+    def test_pair_cap_is_counted_not_timed(self, monkeypatch):
+        """A file over the cap falls back to CF-only on every call."""
+        import repro.flows.dfg as dfg_mod
+
+        monkeypatch.setattr(dfg_mod, "MAX_DATA_FLOW_PAIRS", 7)
+        over = "var a = 1; a = 2; f(a, a); var b = 3; b = 4; g(b, b);"
+        at = "var a = 1; a = 2; f(a, a); var b = 3; g(b, b);"
+        for _ in range(3):
+            graph = enhance(over)
+            assert graph.data_flow is None
+            assert graph.flow_timeout
+            assert len(enhance(at).data_flow) == 6
+            assert not enhance(at).flow_timeout
 
 
 class TestEnhance:
@@ -163,8 +179,11 @@ class TestEnhance:
         graph = enhance("// hello\nvar x = 1; f(x);")
         assert len(graph.comments) == 1
 
-    def test_data_flow_fallback(self, sample_source):
-        graph = enhance(sample_source, data_flow_timeout=0.0)
+    def test_data_flow_fallback(self, sample_source, monkeypatch):
+        import repro.flows.dfg as dfg_mod
+
+        monkeypatch.setattr(dfg_mod, "MAX_DATA_FLOW_PAIRS", 0)
+        graph = enhance(sample_source)
         assert graph.data_flow is None
         assert not graph.data_flow_available
         assert graph.control_flow  # CF-only fallback keeps control flow

@@ -147,9 +147,8 @@ class TestBudgets:
         [
             InterprocBudget(max_nodes=10),
             InterprocBudget(max_functions=1),
-            InterprocBudget(max_seconds=0.0),
         ],
-        ids=["nodes", "functions", "seconds"],
+        ids=["nodes", "functions"],
     )
     def test_degrade_is_byte_identical_to_empty(self, budget):
         result = analyze_program(parse(_obfuscate("rc4", rotate=True)), budget=budget)

@@ -153,9 +153,9 @@ def test_feature_vectors_bit_identical_over_corpus(monkeypatch):
 def test_static_features_bit_identical_over_corpus(monkeypatch):
     extractor_names = None
     sample = CORPUS[1::5]
-    new_feats = [compute_static_features(enhance(s, data_flow_timeout=5)) for s in sample]
+    new_feats = [compute_static_features(enhance(s)) for s in sample]
     monkeypatch.setattr(parser_module, "Lexer", reference_lexer.Lexer)
-    old_feats = [compute_static_features(enhance(s, data_flow_timeout=5)) for s in sample]
+    old_feats = [compute_static_features(enhance(s)) for s in sample]
     for new_f, old_f in zip(new_feats, old_feats):
         assert new_f == old_f
         if extractor_names is None:
@@ -456,9 +456,9 @@ def test_fast_static_features_match_full_path(index):
     token summary, reproduces the frozen per-character and per-token
     formulas of the reference pipeline bit-for-bit."""
     source = CORPUS[index]
-    live = compute_static_features(enhance(source, data_flow_timeout=5))
+    live = compute_static_features(enhance(source))
     ref = reference_parser.compute_static_features(
-        reference_parser.enhance(source, data_flow_timeout=5)
+        reference_parser.enhance(source)
     )
     names = [name for name in live if name.startswith(("src_", "tok_", "str_"))]
     assert len(names) == 20

@@ -447,6 +447,49 @@ class TestLinearWork:
         ratio = self._best_evaluate_s(rule, 4000) / self._best_evaluate_s(rule, 2000)
         assert ratio <= 2.5
 
+    @staticmethod
+    def _evaluate_lines(rule, terms: int) -> int:
+        """Interpreter line events inside ``repro/rules`` during one
+        ``evaluate``: counted work, which no host load can move."""
+        import sys
+        from pathlib import Path
+
+        import repro.rules
+        from repro.rules.context import RuleContext
+
+        rules_dir = str(Path(repro.rules.__file__).parent)
+        chain = "+".join(f"'p{i}'" for i in range(terms)) + ";"
+        ctx = RuleContext(source=chain, data_flow=False)
+        ctx.nodes("BinaryExpression")
+        ctx.tokens
+        lines = 0
+
+        def local(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return local
+
+        def trace(frame, event, arg):
+            return local if frame.f_code.co_filename.startswith(rules_dir) else None
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            rule.evaluate(ctx)
+        finally:
+            sys.settrace(previous)
+        return lines
+
+    def test_string_rebuild_work_is_linear_in_chain_length(self):
+        """The counted twin of the timing test above: R004's work per
+        ``evaluate`` at most 2.2x when the chain doubles."""
+        from repro.rules.catalog import StringRebuildRule
+
+        rule = StringRebuildRule()
+        small = self._evaluate_lines(rule, 2000)
+        assert small > 2000  # the walk is traced, not skipped
+        assert self._evaluate_lines(rule, 4000) <= 2.2 * small
+
     def test_string_rebuild_counts_only_pure_literal_chains(self, engine):
         source = "\n".join(
             [
