@@ -1,11 +1,19 @@
 """Fixpoint pass scheduler, safety budgets, and the deobfuscation report.
 
-:class:`DeobEngine` drives the pass pipeline source-to-source: parse the
-current state, hand every pass a fresh tree plus the rule engine's typed
-evidence, regenerate, and repeat until nothing changes (or a budget
-trips).  Working source-level keeps the pass contract honest — each
-iteration starts from a clean, annotation-free AST, and the emitted
-normal form is by construction re-parseable.
+:class:`DeobEngine` drives the pass pipeline to a fixpoint: every pass
+gets the current tree plus the rule engine's typed evidence for its
+source, the rewritten tree is regenerated, and the loop repeats until
+nothing changes, a state repeats, or a budget trips.  Passes return
+fresh trees, so each iteration starts from a clean, annotation-free AST,
+and the emitted normal form is codegen output, re-parseable by
+construction.
+
+Each distinct program state is paid for once per run.  Rule findings
+are memoised by source text in a dict local to the run (its keys are
+also the states seen, which stops A→B→A cycles): the input's score
+feeds iteration one, and the final score reuses the last iteration's
+analysis.  Codegen runs once per state; the final normal form is the
+last generated source.
 
 The report measures removal the model-free way: rule-engine confidences
 per technique before and after, with *removed* meaning a technique that
@@ -204,15 +212,19 @@ class DeobEngine:
     def _fixpoint(self, source, program, report, started) -> DeobResult:
         """Run the passes to a fixpoint and generate the normal form.
 
+        ``analyses`` (source text → rule findings) lives for this run
+        only, since serve and pool workers share the engine.
+
         The whole-run ``max_seconds`` watchdog is read once per iteration;
         when it trips, the run keeps its input rather than emit a
         half-normalized source that depends on host speed.
         """
-        report.techniques_before = self._confidences(source)
+        analyses: dict[str, list] = {}
+        report.techniques_before = self._confidences(source, analyses)
         stats_by_name = {stats.name: stats for stats in report.passes}
 
         current_source = source
-        seen_sources = {source}
+        generated = False
         eval_unwraps = 0
         structural = [p for p in self.passes if not p.late]
         late = [p for p in self.passes if p.late]
@@ -223,7 +235,7 @@ class DeobEngine:
             report.iterations += 1
             ctx = PassContext(
                 source=current_source,
-                findings=self._findings(current_source),
+                findings=self._findings(current_source, analyses),
                 budget=self.budget,
                 eval_unwraps=eval_unwraps,
             )
@@ -235,19 +247,18 @@ class DeobEngine:
             if changed is None:
                 break
             program = changed
-            new_source = generate(program)
-            if new_source == current_source or new_source in seen_sources:
-                current_source = new_source
+            current_source = generate(program)
+            generated = True
+            if current_source in analyses:
                 break
-            seen_sources.add(new_source)
-            current_source = new_source
         else:
             report.bailed = "iteration-budget"
 
         report.eval_unwraps = eval_unwraps
-        normalized = generate(program)
+        # Once the loop generated ``program``, ``current_source`` is its text.
+        normalized = current_source if generated else generate(program)
         report.nodes_after = count_nodes(program)
-        report.techniques_after = self._confidences(normalized)
+        report.techniques_after = self._confidences(normalized, analyses)
         report.techniques_removed = sorted(
             technique
             for technique, confidence in report.techniques_before.items()
@@ -272,18 +283,23 @@ class DeobEngine:
                 changed = True
         return program if changed else None
 
-    def _findings(self, source: str):
-        """Rule findings for one program state; a source that does not
-        re-parse has none, but running out of stack ends the run."""
-        try:
-            return self.rules.analyze_source(source, data_flow=False)
-        except RecursionError:
-            raise
-        except Exception:
-            return []
+    def _findings(self, source: str, analyses: dict[str, list]):
+        """Rule findings for one program state, analysed once per run; a
+        source that does not re-parse has none, but running out of stack
+        ends the run (and is never recorded)."""
+        findings = analyses.get(source)
+        if findings is None:
+            try:
+                findings = self.rules.analyze_source(source, data_flow=False)
+            except RecursionError:
+                raise
+            except Exception:
+                findings = []
+            analyses[source] = findings
+        return findings
 
-    def _confidences(self, source: str) -> dict[str, float]:
-        return max_confidence_by_technique(self._findings(source))
+    def _confidences(self, source: str, analyses: dict[str, list]) -> dict[str, float]:
+        return max_confidence_by_technique(self._findings(source, analyses))
 
 
 def deobfuscate(

@@ -20,7 +20,7 @@ import sys
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone, iter_child_nodes
 from repro.js.parser import parse
-from repro.js.visitor import NodeTransformer, walk
+from repro.js.visitor import walk
 
 
 class _Unsupported(Exception):
@@ -356,34 +356,6 @@ def _deep_recursion():
         sys.setrecursionlimit(previous)
 
 
-class _Decoder(NodeTransformer):
-    def __init__(self, evaluator: _Evaluator, allowance: int):
-        self.evaluator = evaluator
-        self.allowance = allowance
-        self.unwraps = 0
-        self.rewrites = 0
-        self.failures = 0
-
-    def visit_ExpressionStatement(self, node: Node) -> list | None:
-        if self.unwraps >= self.allowance or not _is_jsfuck_statement(node):
-            return None
-        try:
-            result = self.evaluator.eval(node.expression)
-        except (_Unsupported, RecursionError, OverflowError, ValueError):
-            self.failures += 1
-            return None
-        if not isinstance(result, _Payload):
-            return None
-        try:
-            program = parse(result.source)
-        except Exception:
-            self.failures += 1
-            return None
-        self.unwraps += 1
-        self.rewrites += 1 + len(program.body)
-        return list(program.body)
-
-
 class JsfuckDecodePass(DeobPass):
     name = "jsfuck-decode"
     techniques = ("no_alphanumeric",)
@@ -392,23 +364,51 @@ class JsfuckDecodePass(DeobPass):
         allowance = ctx.budget.max_eval_depth - ctx.eval_unwraps
         if allowance <= 0:
             return PassResult(program)
-        if not any(
-            _is_jsfuck_statement(statement) for statement in _iter_statements(program)
-        ):
+        candidates = _jsfuck_statements(program)
+        if not candidates:
             return PassResult(program)
+        # One evaluator (one op budget) for every candidate, in document
+        # order, until the unwrap allowance is spent.
         evaluator = _Evaluator(ctx.budget.max_eval_ops)
-        decoder = _Decoder(evaluator, allowance)
+        payloads: dict[int, list[Node]] = {}
+        failures = 0
         with _deep_recursion():
-            work = decoder.transform(clone(program))
-        if decoder.failures and not decoder.unwraps:
-            ctx.notes.append("jsfuck-decode: evaluation failed; left in place")
-        if decoder.unwraps == 0:
-            return PassResult(program)
-        ctx.eval_unwraps += decoder.unwraps
-        return PassResult(work, decoder.rewrites)
+            for statement in candidates:
+                if len(payloads) >= allowance:
+                    break
+                try:
+                    result = evaluator.eval(statement.expression)
+                except (_Unsupported, RecursionError, OverflowError, ValueError):
+                    failures += 1
+                    continue
+                if not isinstance(result, _Payload):
+                    continue
+                try:
+                    payloads[id(statement)] = parse(result.source).body
+                except Exception:
+                    failures += 1
+            if not payloads:
+                if failures:
+                    ctx.notes.append("jsfuck-decode: evaluation failed; left in place")
+                return PassResult(program)
+            work = clone(program, payloads)
+        ctx.eval_unwraps += len(payloads)
+        rewrites = sum(1 + len(body) for body in payloads.values())
+        return PassResult(work, rewrites)
 
 
-def _iter_statements(program: Node):
-    for node in walk(program):
-        if node.type == "ExpressionStatement":
-            yield node
+def _jsfuck_statements(program: Node) -> list[Node]:
+    """Every purely-symbolic expression statement, in document order.
+
+    Read-only; a candidate's own subtree is checked but not walked again,
+    since it holds no statements.
+    """
+    found: list[Node] = []
+    stack = [program]
+    while stack:
+        node = stack.pop()
+        if node.type == "ExpressionStatement" and _is_jsfuck_statement(node):
+            found.append(node)
+            continue
+        stack.extend(reversed(list(iter_child_nodes(node))))
+    return found

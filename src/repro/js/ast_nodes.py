@@ -356,21 +356,30 @@ def from_dict(data: Any) -> Any:
     return data
 
 
-def clone(node: Any) -> Any:
-    """Deep-copy an AST subtree (drops parent/flow annotations)."""
+def clone(node: Any, replacements: dict[int, list[Node]] | None = None) -> Any:
+    """Deep-copy an AST subtree (drops parent/flow annotations).
+
+    ``replacements`` maps ``id(statement)`` to the statements that take
+    its place in the copy: spliced in within a statement list, wrapped in
+    a ``BlockStatement`` in a single-statement slot (``if (c) <stmt>``).
+    A replaced statement is not copied, and its replacements go in as
+    they are.
+    """
     if isinstance(node, Node):
+        if replacements and id(node) in replacements:
+            return Node("BlockStatement", body=list(replacements[id(node)]))
         fields: dict[str, Any] = {}
         schema_fields = node._fields
         if schema_fields is None:
             for key, value in node.__dict__.items():
                 if key == "type" or key in _SERIALIZE_EXCLUDED_SET:
                     continue
-                fields[key] = clone(value)
+                fields[key] = clone(value, replacements)
             return Node(node.type, **fields)
         for key in schema_fields:
             value = getattr(node, key, _MISSING)
             if value is not _MISSING:
-                fields[key] = clone(value)
+                fields[key] = clone(value, replacements)
         for key in _SERIALIZE_KEPT_ANALYSIS:
             value = getattr(node, key, _MISSING)
             if value is not _MISSING:
@@ -380,8 +389,16 @@ def clone(node: Any) -> Any:
             for key, value in overflow.items():
                 if key in _SERIALIZE_EXCLUDED_SET:
                     continue
-                fields[key] = clone(value)
+                fields[key] = clone(value, replacements)
         return Node(node.type, **fields)
     if isinstance(node, list):
-        return [clone(item) for item in node]
+        if not replacements:
+            return [clone(item) for item in node]
+        out: list = []
+        for item in node:
+            if id(item) in replacements:
+                out.extend(replacements[id(item)])
+            else:
+                out.append(clone(item, replacements))
+        return out
     return node

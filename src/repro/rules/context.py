@@ -54,6 +54,7 @@ class RuleContext:
         self._enhanced = enhanced
         self._data_flow = data_flow
         self._tokens: list[Token] | None = enhanced.tokens if enhanced is not None else None
+        self._parser: Parser | None = None  #: lexed, not yet parsed (see :attr:`tokens`)
         self._token_list: list[Token] | None = None
         self._summary = None
         self._line_starts: list[int] | None = None
@@ -67,12 +68,16 @@ class RuleContext:
 
     @property
     def tokens(self) -> list[Token]:
-        """Token stream (lexes on demand; EOF excluded; cached)."""
+        """Token stream (lexes on demand; EOF excluded; cached).
+
+        Lexing builds the :class:`Parser` (its constructor is the lexer)
+        and keeps it, so a later :attr:`enhanced` parses these very tokens
+        instead of lexing the source a second time.
+        """
         if self._token_list is None:
             if self._tokens is None:
-                from repro.js.lexer import tokenize
-
-                self._tokens = tokenize(self.source)
+                self._parser = Parser(self.source)
+                self._tokens = self._parser.tokens
             self._token_list = [t for t in self._tokens if t.type is not TokenType.EOF]
         return self._token_list
 
@@ -94,7 +99,8 @@ class RuleContext:
     def enhanced(self) -> EnhancedAST:
         """Enhanced AST (parses + builds flows on demand)."""
         if self._enhanced is None:
-            parser = Parser(self.source)
+            parser = self._parser if self._parser is not None else Parser(self.source)
+            self._parser = None
             program = parser.parse_program()
             flat = build_flat_index(program)
             scope = analyze_scopes(program)

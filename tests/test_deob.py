@@ -3,6 +3,7 @@ safety budgets, pass purity, and the batch/CLI integration surface."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -17,12 +18,16 @@ from repro.deob import (
 )
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.deob.constant_fold import ConstantFoldPass
+from repro.deob.jsfuck import JsfuckDecodePass
 from repro.deob.score import round_trip, rules_classifier
 from repro.detector.batch import BatchInferenceEngine
 from repro.js.ast_nodes import to_dict
 from repro.js.codegen import generate
+from repro.js.lexer import Lexer
 from repro.js.parser import parse
+from repro.js.visitor import walk
 from repro.rules.engine import RuleEngine, default_engine
+from repro.rules.findings import max_confidence_by_technique
 from repro.transform import TransformationPipeline
 from repro.transform.base import TECHNIQUES, Technique, get_transformer
 
@@ -282,12 +287,11 @@ class TestRecursionPolicy:
         assert log.events[:2] == ["pass:constant-fold", "raise"]
         assert log.after_raise() == []
 
-    @pytest.mark.parametrize(
-        "fail_on_call", [1, 2, 3], ids=["before", "first-iteration", "re-run"]
-    )
+    @pytest.mark.parametrize("fail_on_call", [1, 2], ids=["before", "re-run"])
     def test_rule_rerun_recursion_ends_the_run(self, fail_on_call):
-        """Calls: 1 scores the input, 2 feeds iteration one, 3 re-runs the
-        rules on the folded source for iteration two."""
+        """Calls: 1 scores the input and feeds iteration one (one analysis
+        per program state), 2 re-runs the rules on the folded source for
+        iteration two."""
         log = _Log()
         rules = _RecursingRules(log, fail_on_call)
         engine = DeobEngine(passes=[_SpyPass(log, ConstantFoldPass())], rules=rules)
@@ -298,6 +302,137 @@ class TestRecursionPolicy:
         assert result.report.passes_applied == []
         assert rules.calls == fail_on_call
         assert log.after_raise() == []
+
+
+class _RecordingRules(RuleEngine):
+    """A rule engine that records the source of every ``analyze_source``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sources: list[str] = []
+
+    def analyze_source(self, source, data_flow=True):
+        self.sources.append(source)
+        return super().analyze_source(source, data_flow=data_flow)
+
+
+def _jsfuck(payload: str) -> str:
+    """One JSFuck expression statement (no trailing semicolon)."""
+    encoder = get_transformer(Technique.NO_ALPHANUMERIC)
+    return encoder.transform(payload, random.Random(1)).rstrip(";\n")
+
+
+@pytest.fixture(scope="module")
+def jsfuck_pair() -> tuple[str, str]:
+    return _jsfuck("var a=1;"), _jsfuck("var b=2;")
+
+
+class TestOneAnalysisPerState:
+    """Each distinct program state is analysed once per run, and the
+    reports read as if every state had been analysed afresh."""
+
+    @pytest.mark.parametrize("sample", ["foldable", "jsfuck", "string-array"])
+    def test_analyze_source_once_per_state(self, sample, deob_source, jsfuck_pair):
+        source = {
+            "foldable": FOLDABLE,
+            "jsfuck": jsfuck_pair[0] + ";\n",
+            "string-array": get_transformer(Technique.GLOBAL_ARRAY).transform(
+                deob_source, random.Random(99)
+            ),
+        }[sample]
+        rules = _RecordingRules()
+        result = DeobEngine(rules=rules).run(source)
+        report = result.report
+        assert result.changed and report.bailed is None
+        assert len(rules.sources) == len(set(rules.sources))
+        assert rules.sources[0] == source
+        assert rules.sources[-1] == result.source
+        # One analysis per iteration; the final state is one of them
+        # unless iteration one already changed nothing.
+        assert len(rules.sources) == report.iterations
+
+        fresh = default_engine()
+
+        def confidences(text):
+            return max_confidence_by_technique(fresh.analyze_source(text, data_flow=False))
+
+        assert report.techniques_before == confidences(source)
+        assert report.techniques_after == confidences(result.source)
+
+    def test_unchanged_input_is_analysed_once(self):
+        source = "function add(a, b) {\n  return a + b;\n}\n"
+        rules = _RecordingRules()
+        result = DeobEngine(rules=rules).run(source)
+        assert not result.changed
+        assert rules.sources == [source]
+
+
+class TestSingleLex:
+    """A rule analysis lexes its source once, parse included."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        counter = {"scans": 0}
+        scan_all = Lexer.scan_all
+
+        def counted(lexer):
+            counter["scans"] += 1
+            return scan_all(lexer)
+
+        monkeypatch.setattr(Lexer, "scan_all", counted)
+        return counter
+
+    def test_analyze_source_lexes_once(self, scans, deob_source):
+        default_engine().analyze_source(deob_source, data_flow=False)
+        assert scans["scans"] == 1
+
+    def test_ast_stage_triage_lexes_once(self, scans):
+        source = 'var run = eval;\nrun("1");\n'
+        result = default_engine().triage(source, deep=True)
+        assert result.stage == "ast"
+        assert scans["scans"] == 1
+
+
+class TestJsfuckSplice:
+    """JSFuck statements decode in place at any depth, and the decoded
+    tree is built fresh.  The expected normal forms are those of the
+    earlier whole-tree rewrite, except for the lone statement slot, where
+    that rewrite raised instead of decoding."""
+
+    def test_inside_function_body(self, jsfuck_pair):
+        source = "function wrap() {\n  " + jsfuck_pair[0] + ";\n  return 1;\n}\nwrap();\n"
+        result = DeobEngine().run(source)
+        assert result.source == "function wrap() {\n  var a = 1;\n  return 1;\n}\nwrap();\n"
+        assert result.report.eval_unwraps == 1
+
+    def test_inside_if_block(self, jsfuck_pair):
+        source = "if (ready) {\n  " + jsfuck_pair[0] + ";\n}\n"
+        result = DeobEngine().run(source)
+        assert result.source == "if (ready) {\n  var a = 1;\n}\n"
+        assert result.report.eval_unwraps == 1
+
+    def test_lone_statement_slot_becomes_a_block(self, jsfuck_pair):
+        source = "if (ready) " + jsfuck_pair[0] + ";\n"
+        result = DeobEngine().run(source)
+        assert result.source == "if (ready) {\n  var a = 1;\n}\n"
+
+    def test_allowance_cuts_off_in_document_order(self, jsfuck_pair):
+        first, second = jsfuck_pair
+        source = first + ";\n" + second + ";\n"
+        result = DeobEngine(budget=Budget(max_eval_depth=1)).run(source)
+        assert result.report.eval_unwraps == 1
+        assert result.source == "var a = 1;\n" + generate(parse(second + ";"))
+        digest = hashlib.sha256(result.source.encode()).hexdigest()
+        assert digest == "05b99df321bb2af408f73444fc0cf950d42bc757b45c74ffc98684842a6158e0"
+
+    def test_output_shares_no_node_with_input(self, jsfuck_pair):
+        source = "function wrap() {\n  " + jsfuck_pair[0] + ";\n  return 1;\n}\nwrap();\n"
+        program = parse(source)
+        result = JsfuckDecodePass().rewrite(program, PassContext(source=source))
+        assert result.changed
+        assert not {id(node) for node in walk(program)} & {
+            id(node) for node in walk(result.program)
+        }
 
 
 class TestPassPurity:
