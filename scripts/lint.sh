@@ -73,12 +73,11 @@ if grep -rnE '^[[:space:]]*(from|import)[[:space:]]+repro\.(rules|detector|deob)
 fi
 
 # Clock-free analysis gate: a verdict must depend on the source alone, so
-# the lexer/parser, flow, rule and feature layers bound their work by
-# counted caps, never by reading the clock.  The deob run's watchdog is the
-# one clock that may end an analysis, and its trip is an explicit error.
+# the lexer/parser, flow, rule, feature and deob layers bound their work
+# by counted caps, never by reading the clock.  Callers time a deob run.
 if grep -rnE '^[[:space:]]*(import[[:space:]]+([[:alnum:]_.]+,[[:space:]]*)*time([[:space:],]|$)|from[[:space:]]+time[[:space:]]+import)' \
-    src/repro/js src/repro/flows src/repro/rules src/repro/features --include='*.py'; then
-  echo "[lint] the js/flows/rules/features layers must not import time (see matches above)" >&2
+    src/repro/js src/repro/flows src/repro/rules src/repro/features src/repro/deob --include='*.py'; then
+  echo "[lint] the js/flows/rules/features/deob layers must not import time (see matches above)" >&2
   exit 1
 fi
 

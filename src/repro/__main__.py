@@ -165,7 +165,9 @@ def _cmd_deob(args: argparse.Namespace) -> int:
     except OSError as error:
         print(f"{args.file}: cannot read ({error})", file=sys.stderr)
         return 1
+    started = time.perf_counter()
     result = deobfuscate(source)
+    result.report.wall_time_ms = (time.perf_counter() - started) * 1000
     if args.json:
         print(json.dumps(result.to_json(), sort_keys=True))
     else:
@@ -376,8 +378,8 @@ def main(argv: list[str] | None = None) -> int:
         "--deob",
         action="store_true",
         help="normalize each file through the deobfuscation pipeline first "
-        "and classify the normal form; a file whose run trips the 20 s "
-        "watchdog gets a 'budget' error instead of a verdict",
+        "and classify the normal form; a file whose run trips the work "
+        "budget gets a 'budget' error instead of a verdict",
     )
     classify.set_defaults(func=_cmd_classify)
 
@@ -431,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         "--deob",
         action="store_true",
         help="normalize each unit through the deobfuscation pipeline first "
-        "(a run that trips the 20 s watchdog records a 'budget' error)",
+        "(a run that trips the work budget records a 'budget' error)",
     )
     scan.add_argument(
         "--no-fingerprint",

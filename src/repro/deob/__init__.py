@@ -10,7 +10,7 @@ obfuscation evidence survived.
 Public surface:
 
 - :class:`DeobEngine` / :func:`deobfuscate` — the driver,
-- :class:`Budget` — safety limits (node count, iterations, eval depth, one watchdog),
+- :class:`Budget` — counted safety limits (node count, work, iterations, eval depth),
 - :class:`DeobResult` / :class:`DeobReport` — normalized source + what
   happened,
 - :func:`default_passes` — the standard pipeline, in schedule order,

@@ -22,7 +22,9 @@ import re
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
 from repro.js.builder import literal, string
-from repro.js.visitor import NodeTransformer, walk
+from repro.deob.jsfuck import js_unescape
+from repro.js.visitor import NodeTransformer
+from repro.rules.context import prop_name
 
 _ESCAPE_RE = re.compile(r"\\x[0-9a-fA-F]{2}|\\u[0-9a-fA-F]{4}")
 
@@ -46,23 +48,7 @@ def _is_number(value) -> bool:
 
 def _method_name(call: Node) -> str | None:
     """The method of a ``receiver.method(…)`` / ``receiver["method"](…)`` call."""
-    callee = call.callee
-    if callee.type != "MemberExpression":
-        return None
-    prop = callee.property
-    if callee.get("computed"):
-        return prop.value if prop.type == "Literal" and isinstance(prop.value, str) else None
-    return prop.name if prop.type == "Identifier" else None
-
-
-def _decode_unescape(value: str) -> str:
-    def _sub(match: re.Match) -> str:
-        text = match.group(0)
-        if text[1] in "uU":
-            return chr(int(text[2:6], 16))
-        return chr(int(text[1:3], 16))
-
-    return re.sub(r"%u[0-9a-fA-F]{4}|%[0-9a-fA-F]{2}", _sub, value)
+    return prop_name(call.callee) if call.callee.type == "MemberExpression" else None
 
 
 class _Folder(NodeTransformer):
@@ -155,7 +141,7 @@ class _Folder(NodeTransformer):
                 return None
             return self._fold(string(decoded))
         if callee.name == "unescape":
-            decoded = _decode_unescape(argument.value)
+            decoded = js_unescape(argument.value)
             if decoded == argument.value:
                 return None
             return self._fold(string(decoded))
@@ -194,31 +180,25 @@ def _args_are(call: Node, values: list) -> bool:
     )
 
 
-def _would_fold(program: Node) -> bool:
-    """Cheap read-only applicability scan (no clone unless it will fire)."""
-    for node in walk(program):
-        node_type = node.type
-        if node_type == "BinaryExpression":
-            if _literal_value(node.left) is not _MISS and _literal_value(node.right) is not _MISS:
-                if node.operator in ("+", "-", "*"):
-                    left = _literal_value(node.left)
-                    right = _literal_value(node.right)
-                    if (_is_number(left) and _is_number(right)) or (
-                        node.operator == "+"
-                        and isinstance(left, str)
-                        and isinstance(right, str)
-                    ):
-                        return True
-        elif node_type == "Literal":
-            if _raw_needs_normalizing(node):
-                return True
-        elif node_type == "CallExpression":
-            method = _method_name(node)
-            if method == "fromCharCode" or method == "join":
-                return True
-            callee = node.callee
-            if callee.type == "Identifier" and callee.name in ("atob", "unescape"):
-                return True
+def _would_fold(program: Node, ctx: PassContext) -> bool:
+    """Read-only applicability check over the typed node lists."""
+    for node in ctx.nodes(program, "BinaryExpression"):
+        if node.operator not in ("+", "-", "*"):
+            continue
+        left = _literal_value(node.left)
+        right = _literal_value(node.right)
+        if (_is_number(left) and _is_number(right)) or (
+            node.operator == "+" and isinstance(left, str) and isinstance(right, str)
+        ):
+            return True
+    if any(map(_raw_needs_normalizing, ctx.nodes(program, "Literal"))):
+        return True
+    for node in ctx.nodes(program, "CallExpression"):
+        if _method_name(node) in ("fromCharCode", "join"):
+            return True
+        callee = node.callee
+        if callee.type == "Identifier" and callee.name in ("atob", "unescape"):
+            return True
     return False
 
 
@@ -227,7 +207,7 @@ class ConstantFoldPass(DeobPass):
     techniques = ("string_obfuscation",)
 
     def rewrite(self, program: Node, ctx: PassContext) -> PassResult:
-        if not _would_fold(program):
+        if not _would_fold(program, ctx):
             return PassResult(program)
         folder = _Folder()
         work = folder.transform(clone(program))

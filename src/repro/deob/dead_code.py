@@ -21,8 +21,7 @@ import re
 
 from repro.deob.base import DeobPass, PassContext, PassResult, is_pure_expression
 from repro.js.ast_nodes import Node, clone
-from repro.js.scope import analyze_scopes
-from repro.js.visitor import NodeTransformer, walk
+from repro.js.visitor import NodeTransformer
 
 _HEX_NAME_RE = re.compile(r"^_0x[0-9a-fA-F]+$")
 
@@ -76,23 +75,36 @@ class _BranchFolder(NodeTransformer):
         return node.consequent if truth else node.alternate
 
 
-def _unused_junk_names(program: Node) -> set[str]:
+def _unused_junk_names(program: Node, ctx: PassContext) -> set[str]:
     """Never-referenced ``_0x…`` bindings with effect-free initializers."""
-    scope = analyze_scopes(clone(program))  # scope analysis annotates; keep it off the input
-    junk: set[str] = set()
-    for binding in scope.iter_all_bindings():
-        if binding.kind == "global" or not _HEX_NAME_RE.match(binding.name):
-            continue
-        if binding.references or binding.assignments:
-            continue
-        declared_pure = True
-        for declaration in binding.declarations:
-            # The declaration node is the Identifier; purity is judged at
-            # removal time against the declarator/function found by name.
-            declared_pure = declared_pure and declaration.type == "Identifier"
-        if declared_pure:
-            junk.add(binding.name)
-    return junk
+    if not any(map(_HEX_NAME_RE.match, ctx.names(program))):
+        return set()
+    return {
+        binding.name
+        for binding in ctx.bindings(program)
+        if binding.kind != "global"
+        and _HEX_NAME_RE.match(binding.name)
+        and not binding.references
+        and not binding.assignments
+        # The declaration node is the Identifier; purity is judged at
+        # removal time against the declarator/function found by name.
+        and all(declaration.type == "Identifier" for declaration in binding.declarations)
+    }
+
+
+def _is_junk(node: Node, junk: set[str]) -> bool:
+    """A function declaration or variable declarator the dropper removes."""
+    if node.type == "FunctionDeclaration":
+        identifier = node.get("id")
+        return identifier is not None and identifier.name in junk
+    return (
+        node.id.type == "Identifier"
+        and node.id.name in junk
+        # init-less declarators stay: a `for (var x of …)` left has no
+        # init, and removing it would orphan the loop header.
+        and node.get("init") is not None
+        and is_pure_expression(node.init)
+    )
 
 
 class _JunkDropper(NodeTransformer):
@@ -101,8 +113,7 @@ class _JunkDropper(NodeTransformer):
         self.removed = 0
 
     def visit_FunctionDeclaration(self, node: Node) -> object | None:
-        identifier = node.get("id")
-        if identifier is not None and identifier.name in self.junk:
+        if _is_junk(node, self.junk):
             self.removed += 1
             return NodeTransformer.REMOVE
         return None
@@ -111,14 +122,7 @@ class _JunkDropper(NodeTransformer):
         kept = [
             declarator
             for declarator in node.declarations
-            if not (
-                declarator.id.type == "Identifier"
-                and declarator.id.name in self.junk
-                # init-less declarators stay: a `for (var x of …)` left has
-                # no init, and removing it would orphan the loop header.
-                and declarator.get("init") is not None
-                and is_pure_expression(declarator.init)
-            )
+            if not _is_junk(declarator, self.junk)
         ]
         if len(kept) == len(node.declarations):
             return None
@@ -135,12 +139,19 @@ class DeadCodePass(DeobPass):
 
     def rewrite(self, program: Node, ctx: PassContext) -> PassResult:
         has_branch = any(
-            node.type in ("IfStatement", "ConditionalExpression")
-            and static_truth(node.test) is not None
-            for node in walk(program)
+            static_truth(node.test) is not None
+            for node in ctx.nodes(program, "IfStatement", "ConditionalExpression")
         )
-        junk = _unused_junk_names(program)
-        if not has_branch and not junk:
+        junk = _unused_junk_names(program, ctx)
+        # Without a branch to fold, the pass fires only if the dropper
+        # finds a declaration to remove (junk parameters it leaves alone).
+        if not has_branch and not (
+            junk
+            and any(
+                _is_junk(node, junk)
+                for node in ctx.nodes(program, "FunctionDeclaration", "VariableDeclarator")
+            )
+        ):
             return PassResult(program)
 
         work = clone(program)

@@ -3,17 +3,19 @@
 :class:`DeobEngine` drives the pass pipeline to a fixpoint: every pass
 gets the current tree plus the rule engine's typed evidence for its
 source, the rewritten tree is regenerated, and the loop repeats until
-nothing changes, a state repeats, or a budget trips.  Passes return
-fresh trees, so each iteration starts from a clean, annotation-free AST,
-and the emitted normal form is codegen output, re-parseable by
-construction.
+nothing changes, a state repeats, or a budget trips.  Each iteration
+starts from the parse of the last generated source, so the emitted
+normal form is codegen output, re-parseable by construction.
 
-Each distinct program state is paid for once per run.  Rule findings
-are memoised by source text in a dict local to the run (its keys are
-also the states seen, which stops A→B→A cycles): the input's score
-feeds iteration one, and the final score reuses the last iteration's
-analysis.  Codegen runs once per state; the final normal form is the
-last generated source.
+Each distinct program state is lexed, parsed, indexed and
+scope-analysed once per run, by the rule analysis, and the passes run
+on that analysed tree through :class:`~repro.deob.base.PassContext`.
+Rule findings and node counts are memoised by source text in a dict
+local to the run (its keys are also the states seen, which stops A→B→A
+cycles): the input's score feeds iteration one, and the final score
+reuses the last iteration's analysis.  Codegen runs once per state; the
+final normal form is the last generated source.  Every budget counts
+work, and the engine reads no clock: callers time a run.
 
 The report measures removal the model-free way: rule-engine confidences
 per technique before and after, with *removed* meaning a technique that
@@ -23,7 +25,6 @@ is not after.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -38,8 +39,7 @@ from repro.deob.unflatten import UnflattenPass
 from repro.deob.unminify import UnminifyPass
 from repro.deob.unpack import EvalUnwrapPass
 from repro.js.codegen import generate
-from repro.js.parser import parse
-from repro.js.visitor import count_nodes
+from repro.rules.context import RuleContext
 from repro.rules.engine import RuleEngine, default_engine
 from repro.rules.findings import max_confidence_by_technique
 
@@ -114,20 +114,18 @@ class DeobReport:
             "nodes_after": self.nodes_after,
             "eval_unwraps": self.eval_unwraps,
             "total_rewrites": self.total_rewrites,
-            "techniques_before": {
-                technique: round(confidence, 4)
-                for technique, confidence in sorted(self.techniques_before.items())
-            },
-            "techniques_after": {
-                technique: round(confidence, 4)
-                for technique, confidence in sorted(self.techniques_after.items())
-            },
+            "techniques_before": _rounded(self.techniques_before),
+            "techniques_after": _rounded(self.techniques_after),
             "techniques_removed": self.techniques_removed,
             "bailed": self.bailed,
             "error": self.error,
             "wall_time_ms": round(self.wall_time_ms, 3),
             "notes": self.notes,
         }
+
+
+def _rounded(confidences: dict[str, float]) -> dict[str, float]:
+    return {technique: round(value, 4) for technique, value in sorted(confidences.items())}
 
 
 @dataclass
@@ -172,31 +170,20 @@ class DeobEngine:
 
         A budget trip, or a ``RecursionError`` anywhere in the run (parse,
         rule re-runs, passes, codegen), returns the input unchanged with
-        the trip named in ``report.bailed``.
+        the trip named in ``report.bailed``.  ``report.wall_time_ms`` is
+        left to the caller, since the engine reads no clock.
         """
-        started = time.perf_counter()
         report = DeobReport(passes=[PassStats(p.name) for p in self.passes])
         try:
-            program = parse(source)
+            return self._fixpoint(source, report)
         except RecursionError:
-            return self._bail(source, report, started, "recursion")
-        except Exception as exc:
-            report.error = f"input does not parse: {exc}"
-            report.wall_time_ms = (time.perf_counter() - started) * 1000
-            return DeobResult(source=source, report=report, changed=False)
-        try:
-            report.nodes_before = count_nodes(program)
-            if report.nodes_before > self.budget.max_nodes:
-                return self._bail(source, report, started, "node-budget")
-            return self._fixpoint(source, program, report, started)
-        except RecursionError:
-            return self._bail(source, report, started, "recursion")
+            return self._bail(source, report, "recursion")
+        except _WorkBudgetExceeded:
+            return self._bail(source, report, "work-budget")
 
     # -- internals ---------------------------------------------------------------
 
-    def _bail(
-        self, source: str, report: DeobReport, started: float, reason: str
-    ) -> DeobResult:
+    def _bail(self, source: str, report: DeobReport, reason: str) -> DeobResult:
         """The input unchanged, with the budget that tripped."""
         bailed = DeobReport(
             passes=[PassStats(p.name) for p in self.passes],
@@ -205,22 +192,29 @@ class DeobEngine:
             techniques_before=report.techniques_before,
             techniques_after=dict(report.techniques_before),
             bailed=reason,
-            wall_time_ms=(time.perf_counter() - started) * 1000,
         )
         return DeobResult(source=source, report=bailed, changed=False)
 
-    def _fixpoint(self, source, program, report, started) -> DeobResult:
+    def _fixpoint(self, source: str, report: DeobReport) -> DeobResult:
         """Run the passes to a fixpoint and generate the normal form.
 
-        ``analyses`` (source text → rule findings) lives for this run
+        The input is parsed once, as the first program state.  ``memo``
+        (source text → rule findings and node count) lives for this run
         only, since serve and pool workers share the engine.
-
-        The whole-run ``max_seconds`` watchdog is read once per iteration;
-        when it trips, the run keeps its input rather than emit a
-        half-normalized source that depends on host speed.
         """
-        analyses: dict[str, list] = {}
-        report.techniques_before = self._confidences(source, analyses)
+        state = RuleContext(source=source, data_flow=False)
+        try:
+            report.nodes_before = len(state.flat)
+        except RecursionError:
+            raise
+        except Exception as exc:
+            report.error = f"input does not parse: {exc}"
+            return DeobResult(source=source, report=report, changed=False)
+        if report.nodes_before > self.budget.max_nodes:
+            return self._bail(source, report, "node-budget")
+        memo: dict[str, tuple[list, int]] = {}
+        findings, analysis, program = self._analyse(state, memo)
+        report.techniques_before = max_confidence_by_technique(findings)
         stats_by_name = {stats.name: stats for stats in report.passes}
 
         current_source = source
@@ -230,14 +224,13 @@ class DeobEngine:
         late = [p for p in self.passes if p.late]
 
         for _ in range(self.budget.max_iterations):
-            if time.perf_counter() - started > self.budget.max_seconds:
-                return self._bail(source, report, started, "time-budget")
             report.iterations += 1
             ctx = PassContext(
                 source=current_source,
-                findings=self._findings(current_source, analyses),
+                findings=findings,
                 budget=self.budget,
                 eval_unwraps=eval_unwraps,
+                analysis=analysis,
             )
             changed = self._run_passes(structural, program, ctx, stats_by_name)
             if changed is None:
@@ -246,26 +239,34 @@ class DeobEngine:
             report.notes.extend(ctx.notes)
             if changed is None:
                 break
-            program = changed
-            current_source = generate(program)
+            current_source = generate(changed)
             generated = True
-            if current_source in analyses:
+            if current_source in memo:
                 break
+            # Only the current state's tree and index stay live; the
+            # rewritten tree waits only in case its source does not parse.
+            ctx = analysis = program = None
+            state = RuleContext(source=current_source, data_flow=False)
+            findings, analysis, program = self._analyse(state, memo)
+            if program is None:
+                program = changed  # the generated source does not re-parse
+            changed = None
         else:
             report.bailed = "iteration-budget"
 
         report.eval_unwraps = eval_unwraps
         # Once the loop generated ``program``, ``current_source`` is its text.
         normalized = current_source if generated else generate(program)
-        report.nodes_after = count_nodes(program)
-        report.techniques_after = self._confidences(normalized, analyses)
+        if normalized not in memo:
+            self._analyse(RuleContext(source=normalized, data_flow=False), memo)
+        findings, report.nodes_after = memo[normalized]
+        report.techniques_after = max_confidence_by_technique(findings)
         report.techniques_removed = sorted(
             technique
             for technique, confidence in report.techniques_before.items()
             if confidence >= self.removal_threshold
             and report.techniques_after.get(technique, 0.0) < self.removal_threshold
         )
-        report.wall_time_ms = (time.perf_counter() - started) * 1000
         return DeobResult(
             source=normalized, report=report, changed=normalized != source
         )
@@ -283,23 +284,37 @@ class DeobEngine:
                 changed = True
         return program if changed else None
 
-    def _findings(self, source: str, analyses: dict[str, list]):
-        """Rule findings for one program state, analysed once per run; a
-        source that does not re-parse has none, but running out of stack
-        ends the run (and is never recorded)."""
-        findings = analyses.get(source)
-        if findings is None:
-            try:
-                findings = self.rules.analyze_source(source, data_flow=False)
-            except RecursionError:
-                raise
-            except Exception:
-                findings = []
-            analyses[source] = findings
-        return findings
+    def _analyse(self, state: RuleContext, memo: dict[str, tuple[list, int]]):
+        """Findings, rule context and tree of one program state, once per run.
 
-    def _confidences(self, source: str, analyses: dict[str, list]) -> dict[str, float]:
-        return max_confidence_by_technique(self._findings(source, analyses))
+        The state's parse is charged to the work budget before any scope
+        analysis or rule runs.  A source that does not re-parse has no
+        findings and no tree; one the rules fail on keeps its tree but no
+        analysis.  Running out of stack ends the run.
+        """
+        try:
+            nodes = len(state.flat)
+        except RecursionError:
+            raise
+        except Exception:
+            memo[state.source] = ([], 0)
+            return [], None, None
+        memo[state.source] = ([], nodes)
+        if sum(counted for _, counted in memo.values()) > self.budget.max_work:
+            raise _WorkBudgetExceeded
+        program = state.flat.nodes[0]
+        try:
+            findings = self.rules.analyze_source(state)
+        except RecursionError:
+            raise
+        except Exception:
+            return [], None, program
+        memo[state.source] = (findings, nodes)
+        return findings, state, program
+
+
+class _WorkBudgetExceeded(Exception):
+    """The run analysed more nodes than ``Budget.max_work`` allows."""
 
 
 def deobfuscate(

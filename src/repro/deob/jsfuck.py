@@ -20,7 +20,6 @@ import sys
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone, iter_child_nodes
 from repro.js.parser import parse
-from repro.js.visitor import walk
 
 
 class _Unsupported(Exception):
@@ -101,7 +100,9 @@ def _js_escape(value: str) -> str:
     return "".join(out)
 
 
-def _js_unescape(value: str) -> str:
+def js_unescape(value: str) -> str:
+    """JavaScript ``unescape``: ``%XX`` and ``%uXXXX`` escapes decoded."""
+
     def _sub(match: re.Match) -> str:
         text = match.group(0)
         if text[1] in "uU":
@@ -298,7 +299,7 @@ class _Evaluator:
             if len(args) != 1:
                 raise _Unsupported("bootstrap arity")
             text = _to_string(args[0])
-            return _js_escape(text) if callee.name == "escape" else _js_unescape(text)
+            return _js_escape(text) if callee.name == "escape" else js_unescape(text)
         if isinstance(callee, _Native):
             if callee.name == "entries" and not args:
                 return _ArrayIterator()
@@ -324,11 +325,12 @@ _ALLOWED_TYPES = frozenset(
 
 
 def _is_jsfuck_statement(statement: Node) -> bool:
-    """Purely-symbolic expression statement (no identifiers or literals)."""
-    if statement.type != "ExpressionStatement":
-        return False
+    """Purely-symbolic expression statement (no identifiers or literals);
+    stops at the first node outside the symbol grammar."""
     count = 0
-    for node in walk(statement):
+    stack = [statement]
+    while stack:
+        node = stack.pop()
         if node.type not in _ALLOWED_TYPES:
             return False
         if node.type == "UnaryExpression" and node.operator not in ("!", "+"):
@@ -336,6 +338,7 @@ def _is_jsfuck_statement(statement: Node) -> bool:
         if node.type == "BinaryExpression" and node.operator != "+":
             return False
         count += 1
+        stack.extend(iter_child_nodes(node))
     return count >= 8  # tiny symbol soups ([] + []) are not worth decoding
 
 
@@ -364,9 +367,16 @@ class JsfuckDecodePass(DeobPass):
         allowance = ctx.budget.max_eval_depth - ctx.eval_unwraps
         if allowance <= 0:
             return PassResult(program)
-        candidates = _jsfuck_statements(program)
+        candidates = [
+            statement
+            for statement in ctx.nodes(program, "ExpressionStatement")
+            if _is_jsfuck_statement(statement)
+        ]
         if not candidates:
             return PassResult(program)
+        # No candidate holds a statement, so none nests in another, and
+        # the typed list lists them in reverse document order.
+        candidates.reverse()
         # One evaluator (one op budget) for every candidate, in document
         # order, until the unwrap allowance is spent.
         evaluator = _Evaluator(ctx.budget.max_eval_ops)
@@ -396,19 +406,3 @@ class JsfuckDecodePass(DeobPass):
         rewrites = sum(1 + len(body) for body in payloads.values())
         return PassResult(work, rewrites)
 
-
-def _jsfuck_statements(program: Node) -> list[Node]:
-    """Every purely-symbolic expression statement, in document order.
-
-    Read-only; a candidate's own subtree is checked but not walked again,
-    since it holds no statements.
-    """
-    found: list[Node] = []
-    stack = [program]
-    while stack:
-        node = stack.pop()
-        if node.type == "ExpressionStatement" and _is_jsfuck_statement(node):
-            found.append(node)
-            continue
-        stack.extend(reversed(list(iter_child_nodes(node))))
-    return found

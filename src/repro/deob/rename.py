@@ -17,7 +17,7 @@ import re
 
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
-from repro.js.scope import analyze_scopes
+from repro.js.scope import Binding, analyze_scopes
 from repro.js.tokens import KEYWORDS
 from repro.transform.renaming import _UNSAFE_NAMES, expand_shorthand_properties
 
@@ -41,23 +41,16 @@ class RenamePass(DeobPass):
     late = True
 
     def rewrite(self, program: Node, ctx: PassContext) -> PassResult:
+        if not any(
+            _HEX_NAME_RE.match(name) or len(name) <= 2 for name in ctx.names(program)
+        ) or not _candidates(ctx.bindings(program)):
+            return PassResult(program)
+        # The rename goes through the clone's own bindings; shorthand
+        # expansion adds no binding, so the candidates are the same ones.
         work = clone(program)
         expand_shorthand_properties(work)
-        scope = analyze_scopes(work)
-        bindings = list(scope.iter_all_bindings())
-
-        renameable = [
-            binding
-            for binding in bindings
-            if binding.kind != "global" and binding.name not in _UNSAFE_NAMES
-        ]
-        hex_named = [b for b in renameable if _HEX_NAME_RE.match(b.name)]
-        short_named = [b for b in renameable if len(b.name) <= 2]
-        candidates = list(hex_named)
-        if len(short_named) >= _SHORT_NAME_SATURATION:
-            candidates.extend(short_named)
-        if not candidates:
-            return PassResult(program)
+        bindings = list(analyze_scopes(work).iter_all_bindings())
+        candidates = _candidates(bindings)
 
         taken = {binding.name for binding in bindings}
         counters: dict[str, int] = {}
@@ -73,21 +66,19 @@ class RenamePass(DeobPass):
             for node in binding.declarations + binding.references + binding.assignments:
                 node.name = new_name
             renamed += 1
-        _strip_scope_annotations(work)
         return PassResult(work, renamed)
 
 
-def _strip_scope_annotations(root: Node) -> None:
-    """Drop the binding/scope annotations scope analysis left on the tree.
+def _candidates(bindings: list[Binding]) -> list[Binding]:
+    """Renameable ``_0x…`` bindings, then short ones when they saturate."""
+    renameable = [
+        binding
+        for binding in bindings
+        if binding.kind != "global" and binding.name not in _UNSAFE_NAMES
+    ]
+    candidates = [b for b in renameable if _HEX_NAME_RE.match(b.name)]
+    short_named = [b for b in renameable if len(b.name) <= 2]
+    if len(short_named) >= _SHORT_NAME_SATURATION:
+        candidates.extend(short_named)
+    return candidates
 
-    The pass contract is a plain AST out — annotations would leak stale
-    ``Binding`` objects into later clones and serialized comparisons.
-    """
-    from repro.js.visitor import walk
-
-    for node in walk(root):
-        for attribute in ("binding", "scope"):
-            try:
-                delattr(node, attribute)
-            except AttributeError:
-                pass

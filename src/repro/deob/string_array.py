@@ -225,10 +225,15 @@ class StringArrayInlinePass(DeobPass):
         for evidence in ctx.string_array_evidence():
             if evidence.accessor is None or evidence.offset is None:
                 continue
-            declarator = self._find_array_declarator(program, evidence.array)
-            if declarator is None:
+            # R006 records the last same-named declarator in this list.
+            declarators = [
+                declarator
+                for declarator in ctx.nodes(program, "VariableDeclarator")
+                if declarator.id.type == "Identifier" and declarator.id.name == evidence.array
+            ]
+            if not declarators:
                 continue
-            stored = _array_strings(declarator)
+            stored = _array_strings(declarators[-1])
             if stored is None:
                 continue
             rotation = self._find_rotation(program, evidence.array)
@@ -317,17 +322,6 @@ class StringArrayInlinePass(DeobPass):
         dropper = _DeclDropper(arrays=dead_arrays, accessors=dead_functions)
         work = dropper.transform(work)
         return work, inliner.rewrites + dropper.removed
-
-    @staticmethod
-    def _find_array_declarator(program: Node, array_name: str) -> Node | None:
-        for node in walk(program):
-            if (
-                node.type == "VariableDeclarator"
-                and node.id.type == "Identifier"
-                and node.id.name == array_name
-            ):
-                return node
-        return None
 
     @staticmethod
     def _find_rotation(program: Node, array_name: str) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
 from repro.js.visitor import NodeTransformer, walk
+from repro.rules.context import prop_name
 
 _TRAP_MARKERS = ("debugger", "while (true)", "while(true)", "return /")
 
@@ -32,17 +33,7 @@ def _is_trap_constructor_call(node: Node) -> bool:
     if argument.type != "Literal" or not isinstance(argument.value, str):
         return False
     callee = node.callee
-    if callee.type != "MemberExpression":
-        return False
-    prop = callee.property
-    name = (
-        prop.value
-        if callee.get("computed") and prop.type == "Literal"
-        else prop.get("name")
-        if prop.type == "Identifier"
-        else None
-    )
-    if name != "constructor":
+    if callee.type != "MemberExpression" or prop_name(callee) != "constructor":
         return False
     body = argument.value
     return any(marker in body for marker in _TRAP_MARKERS)
@@ -150,6 +141,8 @@ class TrapRemovalPass(DeobPass):
     techniques = ("debug_protection", "self_defending")
 
     def rewrite(self, program: Node, ctx: PassContext) -> PassResult:
+        if not any(map(_is_trap_constructor_call, ctx.nodes(program, "CallExpression"))):
+            return PassResult(program)
         names = _trap_declarations(program)
         if not names:
             return PassResult(program)

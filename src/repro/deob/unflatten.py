@@ -161,7 +161,7 @@ class UnflattenPass(DeobPass):
     techniques = ("control_flow_flattening",)
 
     def rewrite(self, program: Node, ctx: PassContext) -> PassResult:
-        if not self._has_candidate(program):
+        if not any(_is_dispatcher_loop(loop) for loop in ctx.nodes(program, "WhileStatement")):
             return PassResult(program)
         work = clone(program)
         rewrites = 0
@@ -175,12 +175,11 @@ class UnflattenPass(DeobPass):
             return PassResult(program)
         return PassResult(work, rewrites)
 
-    @staticmethod
-    def _has_candidate(program: Node) -> bool:
-        for node in walk(program):
-            if node.type == "WhileStatement" and _is_truthy_literal(node.get("test")):
-                body = node.body
-                statements = body.body if body.type == "BlockStatement" else [body]
-                if any(s.type == "SwitchStatement" for s in statements):
-                    return True
+
+def _is_dispatcher_loop(loop: Node) -> bool:
+    """``while (true) { … switch … }``: the loop a dispatcher runs in."""
+    if not _is_truthy_literal(loop.get("test")):
         return False
+    body = loop.body
+    statements = body.body if body.type == "BlockStatement" else [body]
+    return any(statement.type == "SwitchStatement" for statement in statements)

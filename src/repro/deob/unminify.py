@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
 from repro.js.builder import expr_statement, identifier, literal
-from repro.js.visitor import NodeTransformer, walk
+from repro.js.visitor import NodeTransformer
 
 
 def _is_void_zero(node: Node) -> bool:
@@ -79,18 +79,14 @@ class _Expander(NodeTransformer):
         return None
 
 
-def _would_expand(program: Node) -> bool:
-    for node in walk(program):
-        if node.type == "UnaryExpression" and (
-            _bang_literal(node) is not None or _is_void_zero(node)
-        ):
-            return True
-        if (
-            node.type == "ExpressionStatement"
-            and node.expression.type == "SequenceExpression"
-        ):
-            return True
-    return False
+def _would_expand(program: Node, ctx: PassContext) -> bool:
+    return any(
+        _bang_literal(node) is not None or _is_void_zero(node)
+        for node in ctx.nodes(program, "UnaryExpression")
+    ) or any(
+        statement.expression.type == "SequenceExpression"
+        for statement in ctx.nodes(program, "ExpressionStatement")
+    )
 
 
 class UnminifyPass(DeobPass):
@@ -98,7 +94,7 @@ class UnminifyPass(DeobPass):
     techniques = ("minification_advanced", "minification_simple")
 
     def rewrite(self, program: Node, ctx: PassContext) -> PassResult:
-        if not _would_expand(program):
+        if not _would_expand(program, ctx):
             return PassResult(program)
         expander = _Expander()
         work = expander.transform(clone(program))

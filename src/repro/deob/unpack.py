@@ -19,7 +19,7 @@ import re
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
 from repro.js.parser import parse
-from repro.js.visitor import NodeTransformer, walk
+from repro.js.visitor import NodeTransformer
 
 _BASE62 = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _TOKEN_RE = re.compile(r"\b\w+\b")
@@ -128,13 +128,10 @@ class EvalUnwrapPass(DeobPass):
         allowance = ctx.budget.max_eval_depth - ctx.eval_unwraps
         if allowance <= 0:
             return PassResult(program)
-        candidates = [
-            node
-            for node in walk(program)
-            if node.type == "ExpressionStatement"
-            and _decoded_eval_source(node.expression) is not None
-        ]
-        if not candidates:
+        if not any(
+            _decoded_eval_source(statement.expression) is not None
+            for statement in ctx.nodes(program, "ExpressionStatement")
+        ):
             return PassResult(program)
         unwrapper = _Unwrapper(allowance)
         work = unwrapper.transform(clone(program))

@@ -10,7 +10,7 @@ scripts; this module provides the substrate for that scale:
   across a ``ProcessPoolExecutor``; ``n_workers=1`` is an in-process serial
   fallback with bit-identical output;
 - **per-file fault isolation** — parse errors, ``RecursionError``,
-  oversize inputs and deob watchdog trips become per-file
+  oversize inputs and deob work-budget trips become per-file
   :class:`DetectionError` results instead of aborting the batch;
 - **LRU feature cache** — keyed by source hash, so repeated scripts (the
   §IV-C malicious "waves" are near-duplicates) skip extraction entirely;
@@ -37,7 +37,7 @@ from repro.corpus.filters import MAX_BYTES
 from repro.detector.level1 import Level1Detector
 from repro.detector.level2 import DEFAULT_K, DEFAULT_THRESHOLD, Level2Detector
 from repro.features.extractor import PairedFeatureExtractor
-from repro.outcome import DEOB_WATCHDOG, DetectionError, FileOutcome, detection_error
+from repro.outcome import DEOB_WORK_BUDGET, DetectionError, FileOutcome, detection_error
 from repro.rules.engine import RuleEngine, TriageResult, default_engine
 from repro.rules.findings import Finding, max_confidence_by_technique
 from repro.transform.base import OBFUSCATION_TECHNIQUES, Technique
@@ -172,7 +172,16 @@ def _deob_one(source: str):
         from repro.deob import DeobEngine
 
         _POOL_DEOB_ENGINE = DeobEngine()
-    return _POOL_DEOB_ENGINE.run(source)
+    return _timed_deob(_POOL_DEOB_ENGINE, source)
+
+
+def _timed_deob(engine, source: str):
+    """``engine.run(source)`` with ``report.wall_time_ms`` measured here:
+    the deob engine reads no clock."""
+    started = time.perf_counter()
+    result = engine.run(source)
+    result.report.wall_time_ms = (time.perf_counter() - started) * 1000
+    return result
 
 
 def _map_chunk(function: Callable, chunk: list) -> list:
@@ -396,7 +405,7 @@ class BatchInferenceEngine:
         path, because pool workers use the shared default catalog.
         """
         if not self._parallel(sources) or not self._default_rules:
-            return [self.deob_engine.run(source) for source in sources]
+            return [_timed_deob(self.deob_engine, source) for source in sources]
         return pool_map(_deob_one, sources, self.n_workers, self.chunk_size)
 
     # -- rules-only triage ------------------------------------------------------
@@ -469,12 +478,12 @@ class BatchInferenceEngine:
                 len(outcome.report.techniques_removed) for outcome in deob_results
             )
             stats.deob_time = time.perf_counter() - t_deob
-            # The watchdog is the one clock that can end a run; its trip is
-            # an explicit error, never a verdict on a half-normalized source.
+            # A work-budget trip is an explicit error, never a verdict on
+            # the input the run gave up on.
             for index, outcome in enumerate(deob_results):
-                if outcome.report.bailed == "time-budget":
+                if outcome.report.bailed == "work-budget":
                     results[index] = DetectionResult(
-                        level1=set(), transformed=False, error=DEOB_WATCHDOG
+                        level1=set(), transformed=False, error=DEOB_WORK_BUDGET
                     )
 
         if self.triage != "off":

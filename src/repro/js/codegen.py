@@ -555,6 +555,9 @@ class CodeGenerator:
             if element is None:
                 continue
             self._expression(element, 2)
+        if node.elements and node.elements[-1] is None:
+            # A trailing hole needs its own comma: `[1, ]` has length 1.
+            self._emit(",")
         self._emit("]")
 
     def _expr_ArrayPattern(self, node: Node) -> None:

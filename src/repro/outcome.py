@@ -32,8 +32,7 @@ class DetectionError:
     """Why one file of a batch could not be classified."""
 
     #: "oversize" | "parse" | "recursion" | "budget" | "internal";
-    #: "budget" is the deob run's wall-clock watchdog, the one clock that
-    #: can end an analysis (every other cap counts work).
+    #: "budget" is the deob run's counted work budget.
     kind: str
     message: str
 
@@ -41,8 +40,8 @@ class DetectionError:
         return f"{self.kind}: {self.message}"
 
 
-#: The error of a file whose deob run tripped ``Budget.max_seconds``.
-DEOB_WATCHDOG = DetectionError("budget", "deob run exceeded its wall-clock watchdog")
+#: The error of a file whose deob run tripped ``Budget.max_work``.
+DEOB_WORK_BUDGET = DetectionError("budget", "deob run exceeded its work budget")
 
 
 def detection_error(

@@ -17,7 +17,7 @@ from repro.flows.cfg import build_control_flow
 from repro.flows.dfg import build_data_flow
 from repro.flows.graph import EnhancedAST
 from repro.js.ast_nodes import Node, iter_child_nodes
-from repro.js.flat import build_flat_index
+from repro.js.flat import FlatIndex, build_flat_index
 from repro.js.parser import Parser
 from repro.js.scope import analyze_scopes
 from repro.js.tokens import Token, TokenType
@@ -54,7 +54,8 @@ class RuleContext:
         self._enhanced = enhanced
         self._data_flow = data_flow
         self._tokens: list[Token] | None = enhanced.tokens if enhanced is not None else None
-        self._parser: Parser | None = None  #: lexed, not yet parsed (see :attr:`tokens`)
+        self._parser: Parser | None = None  #: lexed, not yet enhanced (see :attr:`tokens`)
+        self._flat: FlatIndex | None = None  #: parsed, not yet enhanced (see :attr:`flat`)
         self._token_list: list[Token] | None = None
         self._summary = None
         self._line_starts: list[int] | None = None
@@ -96,13 +97,26 @@ class RuleContext:
         return self._summary
 
     @property
+    def flat(self) -> FlatIndex:
+        """Flat index of the parsed tree (parses on demand; no scope or flows).
+
+        The deob engine sizes a program state from it before any scope
+        analysis or rule runs; :attr:`enhanced` builds on the same parse.
+        """
+        if self._enhanced is not None:
+            return self._enhanced.flat
+        if self._flat is None:
+            self.tokens  # lexes once; the parse below reads these tokens
+            self._flat = build_flat_index(self._parser.parse_program())
+        return self._flat
+
+    @property
     def enhanced(self) -> EnhancedAST:
         """Enhanced AST (parses + builds flows on demand)."""
         if self._enhanced is None:
-            parser = self._parser if self._parser is not None else Parser(self.source)
-            self._parser = None
-            program = parser.parse_program()
-            flat = build_flat_index(program)
+            flat = self.flat
+            parser, self._parser, self._flat = self._parser, None, None
+            program = flat.nodes[0]
             scope = analyze_scopes(program)
             control_flow = build_control_flow(program)
             data_flow = build_data_flow(program, scope=scope) if self._data_flow else None
@@ -142,19 +156,8 @@ class RuleContext:
         Within one type, every node is listed before its descendants.
         """
         if self._nodes_by_type is None:
-            index: dict[str, list[Node]] = {}
-            stack = [self.program]
-            while stack:
-                node = stack.pop()
-                index.setdefault(node.type, []).append(node)
-                stack.extend(iter_child_nodes(node))
-            self._nodes_by_type = index
-        if len(types) == 1:
-            return self._nodes_by_type.get(types[0], [])
-        out: list[Node] = []
-        for node_type in types:
-            out.extend(self._nodes_by_type.get(node_type, []))
-        return out
+            self._nodes_by_type = nodes_by_type(self.program)
+        return select_types(self._nodes_by_type, types)
 
     @property
     def identifier_values(self) -> list[str]:
@@ -198,6 +201,34 @@ class RuleContext:
         end = node.get("end") or start
         text = " ".join(self.source[start:end].split())
         return text if len(text) <= limit else text[: limit - 1] + "…"
+
+
+# -- typed node index ------------------------------------------------------------
+
+
+def nodes_by_type(root: Node) -> dict[str, list[Node]]:
+    """Every node under ``root`` bucketed by type, in one walk.
+
+    Within one type, every node is listed before its descendants, and
+    nodes that do not nest are listed in reverse document order.
+    """
+    index: dict[str, list[Node]] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        index.setdefault(node.type, []).append(node)
+        stack.extend(iter_child_nodes(node))
+    return index
+
+
+def select_types(index: dict[str, list[Node]], types: tuple[str, ...]) -> list[Node]:
+    """The nodes of ``types`` in a :func:`nodes_by_type` index."""
+    if len(types) == 1:
+        return index.get(types[0], [])
+    out: list[Node] = []
+    for node_type in types:
+        out.extend(index.get(node_type, []))
+    return out
 
 
 # -- small AST helpers shared by the rule catalog -----------------------------

@@ -109,10 +109,19 @@ class RuleEngine:
         """Run every rule against an already-built enhanced AST."""
         return self._evaluate(RuleContext(enhanced=enhanced), self.rules)
 
-    def analyze_source(self, source: str, data_flow: bool = True) -> list[Finding]:
-        """Parse ``source`` and run every rule (raises on invalid JS)."""
-        ctx = RuleContext(source=source, data_flow=data_flow)
-        return self._evaluate(ctx, self.rules)
+    def analyze_source(
+        self, source: str | RuleContext, data_flow: bool = True
+    ) -> list[Finding]:
+        """Parse ``source`` and run every rule (raises on invalid JS).
+
+        ``source`` may also be a :class:`RuleContext` the caller keeps (its
+        own ``data_flow`` setting applies): the deob engine analyses each
+        program state this way, then runs its passes on the tree, scope
+        and typed node index the rules built.
+        """
+        if not isinstance(source, RuleContext):
+            source = RuleContext(source=source, data_flow=data_flow)
+        return self._evaluate(source, self.rules)
 
     # -- staged triage -----------------------------------------------------------
 

@@ -76,6 +76,10 @@ ROUNDTRIP_SOURCES = [
     "void 0;",
     "x = y = z ??= w;",
     "seq = (a++, --b, c);",
+    # trailing holes keep their own comma: `[1, ]` has length 1
+    "var a = [1,,];",
+    "[,];",
+    "[a, ,] = xs;",
 ]
 
 

@@ -26,6 +26,7 @@ from repro.js.codegen import generate
 from repro.js.lexer import Lexer
 from repro.js.parser import parse
 from repro.js.visitor import walk
+from repro.rules.context import RuleContext
 from repro.rules.engine import RuleEngine, default_engine
 from repro.rules.findings import max_confidence_by_technique
 from repro.transform import TransformationPipeline
@@ -132,25 +133,39 @@ class TestBudgets:
         assert result.source == deob_source
         assert not result.changed
 
-    def test_time_budget_runs_no_passes(self, deob_source):
-        """The whole-run watchdog keeps the input rather than emit a
-        normal form that depends on how far the run got."""
-        result = DeobEngine(budget=Budget(max_seconds=0.0)).run(deob_source)
-        assert result.report.bailed == "time-budget"
+    def test_work_budget_runs_no_passes(self, deob_source):
+        """The work budget keeps the input rather than emit a normal form
+        that depends on how far the run got."""
+        result = DeobEngine(budget=Budget(max_work=0)).run(deob_source)
+        assert result.report.bailed == "work-budget"
         assert result.report.passes_applied == []
         assert result.source == deob_source
         assert not result.changed
 
-    def test_watchdog_trip_is_a_budget_error_under_batch_deob(
+    def test_work_budget_trip_is_a_budget_error_under_batch_deob(
         self, deob_source, trained_detector
     ):
         engine = trained_detector.batch_engine(cache_size=0)
-        engine._deob_engine = DeobEngine(budget=Budget(max_seconds=0.0), rules=engine.rules)
+        engine._deob_engine = DeobEngine(budget=Budget(max_work=0), rules=engine.rules)
         batch = engine.classify([deob_source], deob=True)
         assert batch[0].error is not None and batch[0].error.kind == "budget"
-        assert batch[0].deob.report.bailed == "time-budget"
+        assert batch[0].deob.report.bailed == "work-budget"
         assert batch[0].deob.source == deob_source
         assert batch.stats.errors == 1
+
+    def test_work_budget_counts_every_state(self, deob_source):
+        """The budget sums the nodes of every analysed state: a run that
+        needs a second state trips a budget its input alone fits in."""
+        transformed = get_transformer(Technique.GLOBAL_ARRAY).transform(
+            deob_source, random.Random(99)
+        )
+        full = DeobEngine().run(transformed)
+        assert full.changed and full.report.iterations >= 2
+        nodes = full.report.nodes_before
+        tight = DeobEngine(budget=Budget(max_work=nodes)).run(transformed)
+        assert tight.report.bailed == "work-budget"
+        assert tight.source == transformed
+        assert tight.report.nodes_before == nodes
 
     def test_eval_depth_budget_blocks_unwrap(self, deob_source, engine):
         transformed = get_transformer(Technique.NO_ALPHANUMERIC).transform(
@@ -312,7 +327,7 @@ class _RecordingRules(RuleEngine):
         self.sources: list[str] = []
 
     def analyze_source(self, source, data_flow=True):
-        self.sources.append(source)
+        self.sources.append(source.source if isinstance(source, RuleContext) else source)
         return super().analyze_source(source, data_flow=data_flow)
 
 
@@ -452,6 +467,187 @@ class TestPassPurity:
             assert to_dict(program) == snapshot, (
                 f"{deob_pass.name} mutated its input AST"
             )
+
+    @pytest.mark.parametrize("technique", list(TECHNIQUES), ids=TECHNIQUE_IDS)
+    def test_passes_leave_the_analysed_tree_alone(self, technique, sample_source):
+        """The engine hands passes the tree the rules parsed and annotated."""
+        transformed = get_transformer(technique).transform(
+            sample_source, random.Random(3)
+        )
+        analysis = RuleContext(source=transformed, data_flow=False)
+        findings = default_engine().analyze_source(analysis)
+        program = analysis.program
+        snapshot = to_dict(program)
+        ctx = PassContext(source=transformed, findings=findings, analysis=analysis)
+        for deob_pass in default_passes():
+            deob_pass.rewrite(program, ctx)
+            assert to_dict(program) == snapshot, (
+                f"{deob_pass.name} mutated its input AST"
+            )
+
+
+def _pinned_samples() -> dict[str, str]:
+    """The ten technique samples, two stacked pairs and one JSFuck sample."""
+    base = generate_corpus(1, seed=7, min_bytes=1200)[0]
+    samples = {
+        technique.value: get_transformer(technique).transform(base, random.Random(99))
+        for technique in TECHNIQUES
+    }
+    for pair in (
+        ("dead_code_injection", "string_obfuscation"),
+        ("global_array", "minification_advanced"),
+    ):
+        samples["+".join(pair)] = TransformationPipeline(list(pair)).transform(
+            base, random.Random(31)
+        )
+    samples["jsfuck"] = _jsfuck("var a=1;") + ";\n"
+    return samples
+
+
+def _deob_outputs() -> dict[str, list]:
+    """Normal form and report (minus its wall time) of every pinned sample."""
+    engine = DeobEngine()
+    outputs = {}
+    for name, source in _pinned_samples().items():
+        result = engine.run(source)
+        report = result.report.to_json()
+        report.pop("wall_time_ms")
+        outputs[name] = [result.source, report]
+    return outputs
+
+
+#: sha256 of each pinned sample's normal form: how the passes share the
+#: rules' analysis of a state must not move these bytes.
+NORMAL_FORM_SHA256 = {
+    "control_flow_flattening": "25fefb71ae3bd51c3dad0d6de3dcea47668d12f990449d2ffbbb5c4bc4c3bc78",
+    "dead_code_injection": "2c18b888443f54c62b8e5e0431bcdb62dd8ee1607bee150401827e315e3af62e",
+    "dead_code_injection+string_obfuscation": "2039616f8dc41001164b8fc821d448d416a0c6e2300e4025d88121f4ea7f1eb2",
+    "debug_protection": "dbe11b30d8ef211d99517ca585522c31ae5d15ea749a3dd0da746106d25c0ba9",
+    "global_array": "bbc3c87778e9cd38e250c822631d47629a716eeda9225cb64bfc01dd00e86383",
+    "global_array+minification_advanced": "428f30c04f48f5bb28d979e34f208cfa33d53b1c83ecae12a0a8669fa8919e67",
+    "identifier_obfuscation": "bbc3c87778e9cd38e250c822631d47629a716eeda9225cb64bfc01dd00e86383",
+    "jsfuck": "5747ff2cf11cc6d2125b728abfb646c946ea8d14beb66b7fed9a64f38a1fefb1",
+    "minification_advanced": "428f30c04f48f5bb28d979e34f208cfa33d53b1c83ecae12a0a8669fa8919e67",
+    "minification_simple": "bbc3c87778e9cd38e250c822631d47629a716eeda9225cb64bfc01dd00e86383",
+    "no_alphanumeric": "77f5eec38c5ef075e11892244ccf9e249d82937e07401398df98319568775a17",
+    "self_defending": "f87aa010fbdce930d126a351095bad69be91cf67abd90dae1d02f818d821ebf7",
+    "string_obfuscation": "692e3215173ee286f4b9f7e662e456b410e86c088d637a3c1318844d2e10a85d",
+}
+
+
+class TestDeterminism:
+    """The same input gives the same normal form and report, run after run
+    and under any hash seed (pipebench counts a difference as a failure)."""
+
+    @pytest.fixture(scope="class")
+    def outputs(self) -> dict[str, list]:
+        return _deob_outputs()
+
+    def test_repeat_runs_agree(self, outputs):
+        assert _deob_outputs() == outputs
+
+    def test_other_hash_seed_agrees(self, outputs):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import json; from tests.test_deob import _deob_outputs; "
+             "print(json.dumps(_deob_outputs()))"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600, check=True,
+        )
+        assert json.loads(done.stdout) == json.loads(json.dumps(outputs))
+
+    def test_normal_forms_are_pinned(self, outputs):
+        digests = {
+            name: hashlib.sha256(source.encode()).hexdigest()
+            for name, (source, _report) in outputs.items()
+        }
+        assert digests == NORMAL_FORM_SHA256
+
+
+class TestCountedWork:
+    """Each program state is parsed once, and a pass that does not fire on
+    the rules' analysed tree walks, clones and scope-analyses nothing."""
+
+    @pytest.mark.parametrize("sample", ["global_array", "dead_code_injection+string_obfuscation"])
+    def test_one_parse_per_state(self, sample, monkeypatch):
+        from repro.js.parser import Parser
+
+        source = _pinned_samples()[sample]
+        parses = []
+        parse_program = Parser.parse_program
+
+        def counted(parser):
+            parses.append(parser)
+            return parse_program(parser)
+
+        monkeypatch.setattr(Parser, "parse_program", counted)
+        rules = _RecordingRules()
+        result = DeobEngine(rules=rules).run(source)
+        assert result.changed
+        assert len(set(rules.sources)) == len(rules.sources)
+        assert len(parses) == len(rules.sources)
+
+    @pytest.mark.parametrize("sample", sorted(NORMAL_FORM_SHA256))
+    def test_idle_pass_on_the_analysed_tree_does_no_tree_work(self, sample, monkeypatch):
+        import importlib
+
+        source = _pinned_samples()[sample]
+        calls: list[str] = []
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return call
+
+        for module_name in ("base", "constant_fold", "dead_code", "jsfuck", "rename",
+                            "string_array", "traps", "unflatten", "unminify", "unpack"):
+            module = importlib.import_module(f"repro.deob.{module_name}")
+            for name in ("walk", "clone", "analyze_scopes"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        idle: list[tuple[str, list[str]]] = []
+
+        class Watched(DeobPass):
+            def __init__(self, inner):
+                self.inner, self.name, self.late = inner, inner.name, inner.late
+
+            def rewrite(self, program, ctx):
+                analysed = ctx.analysis is not None and program is ctx.analysis.program
+                del calls[:]
+                result = self.inner.rewrite(program, ctx)
+                if analysed and not result.changed:
+                    idle.append((self.name, list(calls)))
+                return result
+
+        engine = DeobEngine(passes=[Watched(p) for p in default_passes()])
+        engine.run(source)
+        assert idle
+        assert [entry for entry in idle if entry[1]] == []
+
+
+class TestArrayHoles:
+    """A trailing hole survives deob: `[1,,]` has length 2, `[,]` length 1."""
+
+    @pytest.mark.parametrize("source", ["var a = [1,,];\n", "var b = [,];\n"])
+    def test_normal_form_keeps_trailing_holes(self, source, engine):
+        result = engine.run(source)
+        assert result.report.error is None
+        assert generate(parse(result.source)) == result.source
+        [declaration] = parse(result.source).body
+        [expected] = parse(source).body
+        assert len(declaration.declarations[0].init.elements) == len(
+            expected.declarations[0].init.elements
+        )
 
 
 class TestTypedEvidence:

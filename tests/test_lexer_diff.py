@@ -406,6 +406,9 @@ ROUND_TRIP = [
     "b = a ? .5 : 0;",
     "a?.5:0;",
     "var n = 1_000 + 0xFF_FF + 1.5_5e1_0 + 1_000n;",
+    # trailing array holes (`[1,,]` has length 2, `[,]` length 1)
+    "var a = [1,,];",
+    "[,];",
 ]
 
 
