@@ -81,6 +81,22 @@ if grep -rnE '^[[:space:]]*(import[[:space:]]+([[:alnum:]_.]+,[[:space:]]*)*time
   exit 1
 fi
 
+# One-value-semantics gate: JavaScript's value rules (ToNumber, ToString,
+# the folded operators, fromCharCode, unescape, atob) live in
+# src/repro/js/semantics.py alone.  A private copy in a folder drifts from
+# ECMA-262 on its own (Python's % and repr are not JavaScript's), so the
+# transform, deob and flows layers may neither redefine them nor decode
+# base64 themselves (flows/values.py builds its UTF-8 replay on atob).
+if grep -rnE '^[[:space:]]*def[[:space:]]+(_literal_value|_to_js_string|_both_numbers|_is_number|_to_number|_to_base|js_unescape)[[:space:]]*\(' \
+    src/repro/transform src/repro/deob src/repro/flows --include='*.py'; then
+  echo "[lint] JavaScript value rules copied outside src/repro/js/semantics.py (see matches above)" >&2
+  exit 1
+fi
+if grep -rnE 'b64decode[[:space:]]*\(' src/repro/transform src/repro/deob src/repro/flows --include='*.py'; then
+  echo "[lint] base64 decoded outside src/repro/js/semantics.py; use its atob (see matches above)" >&2
+  exit 1
+fi
+
 # Deob purity gate: deobfuscation passes must never mutate the AST they
 # are handed — they scan read-only and rewrite a clone().  A pass that
 # edits in place corrupts the engine's fixpoint bookkeeping (and any

@@ -14,36 +14,26 @@ folder this pass never introduces minifier idioms (``true`` stays
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import re
 
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
 from repro.js.builder import literal, string
-from repro.deob.jsfuck import js_unescape
+from repro.js.semantics import (
+    MISS,
+    atob,
+    binary,
+    from_char_code,
+    has_literal,
+    is_number,
+    literal_value,
+    unescape,
+)
 from repro.js.visitor import NodeTransformer
 from repro.rules.context import prop_name
 
 _ESCAPE_RE = re.compile(r"\\x[0-9a-fA-F]{2}|\\u[0-9a-fA-F]{4}")
-
-
-def _literal_value(node: Node):
-    if node.type == "Literal" and node.get("regex") is None:
-        return node.value
-    if node.type == "UnaryExpression" and node.operator == "-" and node.get("prefix"):
-        inner = _literal_value(node.argument)
-        if isinstance(inner, (int, float)) and not isinstance(inner, bool):
-            return -inner
-    return _MISS
-
-
-_MISS = object()
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _method_name(call: Node) -> str | None:
@@ -60,24 +50,13 @@ class _Folder(NodeTransformer):
         return node
 
     def visit_BinaryExpression(self, node: Node) -> Node | None:
-        left = _literal_value(node.left)
-        right = _literal_value(node.right)
-        if left is _MISS or right is _MISS:
+        operands = _foldable_operands(node)
+        if operands is None:
             return None
-        try:
-            if node.operator == "+":
-                if isinstance(left, str) and isinstance(right, str):
-                    return self._fold(string(left + right))
-                if _is_number(left) and _is_number(right):
-                    return self._fold(literal(left + right))
-                return None
-            if node.operator == "-" and _is_number(left) and _is_number(right):
-                return self._fold(literal(left - right))
-            if node.operator == "*" and _is_number(left) and _is_number(right):
-                return self._fold(literal(left * right))
-        except (TypeError, OverflowError):  # pragma: no cover - defensive
-            return None
-        return None
+        value = binary(node.operator, *operands)
+        if not has_literal(value):
+            return None  # NaN, ±Infinity and -0 have no literal: keep the code
+        return self._fold(literal(value))
 
     def visit_CallExpression(self, node: Node) -> Node | None:
         folded = self._fold_from_char_code(node)
@@ -97,10 +76,10 @@ class _Folder(NodeTransformer):
             or not node.arguments
         ):
             return None
-        codes = [_literal_value(argument) for argument in node.arguments]
-        if not all(_is_number(code) and 0 <= code <= 0x10FFFF for code in codes):
+        codes = [literal_value(argument) for argument in node.arguments]
+        if not all(map(is_number, codes)):
             return None
-        return self._fold(string("".join(chr(int(code)) for code in codes)))
+        return self._fold(string(from_char_code(codes)))
 
     def _fold_reverse_join(self, node: Node) -> Node | None:
         # "fedcba".split("").reverse().join("")
@@ -133,15 +112,12 @@ class _Folder(NodeTransformer):
         if argument.type != "Literal" or not isinstance(argument.value, str):
             return None
         if callee.name == "atob":
-            try:
-                decoded = base64.b64decode(
-                    argument.value.encode("ascii"), validate=True
-                ).decode("utf-8")
-            except (binascii.Error, UnicodeDecodeError, ValueError):
+            decoded = atob(argument.value)
+            if decoded is None:
                 return None
             return self._fold(string(decoded))
         if callee.name == "unescape":
-            decoded = js_unescape(argument.value)
+            decoded = unescape(argument.value)
             if decoded == argument.value:
                 return None
             return self._fold(string(decoded))
@@ -152,7 +128,7 @@ class _Folder(NodeTransformer):
             return None
         if isinstance(node.value, str):
             return self._fold(string(node.value))
-        return self._fold(literal(node.value))
+        return self._fold(literal(literal_value(node)))
 
 
 def _raw_needs_normalizing(node: Node) -> bool:
@@ -166,9 +142,25 @@ def _raw_needs_normalizing(node: Node) -> bool:
         return False
     if isinstance(node.value, str):
         return raw != json.dumps(node.value) and bool(_ESCAPE_RE.search(raw))
-    if _is_number(node.value):
+    if is_number(literal_value(node)):
         return raw[:2].lower() in ("0x", "0o", "0b")
     return False
+
+
+def _foldable_operands(node: Node) -> tuple | None:
+    """The literal operands of ``string + string`` or ``number (+|-|*)
+    number``, else None."""
+    if node.operator not in ("+", "-", "*"):
+        return None
+    left = literal_value(node.left)
+    if left is MISS:
+        return None
+    right = literal_value(node.right)
+    if (is_number(left) and is_number(right)) or (
+        node.operator == "+" and type(left) is str and type(right) is str
+    ):
+        return left, right
+    return None
 
 
 def _args_are(call: Node, values: list) -> bool:
@@ -183,13 +175,7 @@ def _args_are(call: Node, values: list) -> bool:
 def _would_fold(program: Node, ctx: PassContext) -> bool:
     """Read-only applicability check over the typed node lists."""
     for node in ctx.nodes(program, "BinaryExpression"):
-        if node.operator not in ("+", "-", "*"):
-            continue
-        left = _literal_value(node.left)
-        right = _literal_value(node.right)
-        if (_is_number(left) and _is_number(right)) or (
-            node.operator == "+" and isinstance(left, str) and isinstance(right, str)
-        ):
+        if _foldable_operands(node) is not None:
             return True
     if any(map(_raw_needs_normalizing, ctx.nodes(program, "Literal"))):
         return True

@@ -13,29 +13,26 @@ the modelled subset aborts the evaluation and leaves the code unchanged.
 from __future__ import annotations
 
 import contextlib
-import math
-import re
 import sys
 
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone, iter_child_nodes
 from repro.js.parser import parse
+from repro.js.semantics import (
+    UNDEFINED,
+    binary,
+    escape,
+    is_primitive,
+    number_to_string,
+    to_boolean,
+    to_number,
+    to_string,
+    unescape,
+)
 
 
 class _Unsupported(Exception):
     """Construct outside the modelled JSFuck subset."""
-
-
-class _Undefined:
-    _instance: "_Undefined | None" = None
-
-    def __new__(cls) -> "_Undefined":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-
-UNDEFINED = _Undefined()
 
 
 class _Native:
@@ -83,111 +80,18 @@ class _Payload:
         self.source = source
 
 
-_KEEP = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789@*_+-./"
-)
-
-
-def _js_escape(value: str) -> str:
-    out = []
-    for char in value:
-        if char in _KEEP:
-            out.append(char)
-        elif ord(char) <= 0xFF:
-            out.append(f"%{ord(char):02X}")
-        else:
-            out.append(f"%u{ord(char):04X}")
-    return "".join(out)
-
-
-def js_unescape(value: str) -> str:
-    """JavaScript ``unescape``: ``%XX`` and ``%uXXXX`` escapes decoded."""
-
-    def _sub(match: re.Match) -> str:
-        text = match.group(0)
-        if text[1] in "uU":
-            return chr(int(text[2:6], 16))
-        return chr(int(text[1:3], 16))
-
-    return re.sub(r"%u[0-9a-fA-F]{4}|%[0-9a-fA-F]{2}", _sub, value)
-
-
-def _to_base(value: int, radix: int) -> str:
-    digits = "0123456789abcdefghijklmnopqrstuvwxyz"
-    if value == 0:
-        return "0"
-    negative = value < 0
-    value = abs(value)
-    out = ""
-    while value:
-        value, rem = divmod(value, radix)
-        out = digits[rem] + out
-    return ("-" if negative else "") + out
-
-
-def _to_string(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is UNDEFINED:
-        return "undefined"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        if value.is_integer():
-            return str(int(value))
-        return repr(value)
-    if isinstance(value, str):
+def _to_primitive(value):
+    """ToPrimitive of a modelled value: an object's string form."""
+    if is_primitive(value):
         return value
     if isinstance(value, list):
         return ",".join(
-            "" if item is UNDEFINED or item is None else _to_string(item)
+            "" if item is UNDEFINED or item is None else to_string(_to_primitive(item))
             for item in value
         )
     if isinstance(value, (_Native, _FunctionCtor, _StringCtor, _ArrayIterator)):
         return value.native_string
-    raise _Unsupported("string coercion")
-
-
-def _to_number(value) -> float:
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        if not text:
-            return 0.0
-        try:
-            return float(text)
-        except ValueError:
-            return float("nan")
-    if isinstance(value, list):
-        return _to_number(_to_string(value))
-    if value is UNDEFINED:
-        return float("nan")
-    raise _Unsupported("number coercion")
-
-
-def _truthy(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return value != 0 and not math.isnan(value)
-    if isinstance(value, str):
-        return bool(value)
-    if value is UNDEFINED:
-        return False
-    return True  # arrays and function-like markers
-
-
-def _js_add(left, right):
-    left_prim = _to_string(left) if isinstance(left, (list, _Native, _FunctionCtor, _StringCtor, _ArrayIterator)) else left
-    right_prim = _to_string(right) if isinstance(right, (list, _Native, _FunctionCtor, _StringCtor, _ArrayIterator)) else right
-    if isinstance(left_prim, str) or isinstance(right_prim, str):
-        return _to_string(left_prim) + _to_string(right_prim)
-    return _to_number(left_prim) + _to_number(right_prim)
+    raise _Unsupported(f"coercion of {type(value).__name__}")
 
 
 _ARRAY_NATIVES = frozenset({"flat", "find", "entries", "filter", "concat", "fill", "sort"})
@@ -210,12 +114,9 @@ class _Evaluator:
             ]
         if node_type == "UnaryExpression":
             if node.operator == "!":
-                return not _truthy(self.eval(node.argument))
+                return not to_boolean(self.eval(node.argument))
             if node.operator == "+":
-                value = self.eval(node.argument)
-                if isinstance(value, (list, _Native)):
-                    value = _to_string(value)
-                return _to_number(value)
+                return to_number(_to_primitive(self.eval(node.argument)))
             raise _Unsupported(f"unary {node.operator}")
         if node_type == "BinaryExpression":
             # Flatten the left spine: spelled strings are +-chains with one
@@ -231,7 +132,7 @@ class _Evaluator:
             terms.reverse()
             value = self.eval(terms[0])
             for term in terms[1:]:
-                value = _js_add(value, self.eval(term))
+                value = binary("+", _to_primitive(value), _to_primitive(self.eval(term)))
             return value
         if node_type == "MemberExpression":
             return self._member(self.eval(node.object), self._key(node))
@@ -244,7 +145,7 @@ class _Evaluator:
     def _key(self, node: Node) -> str:
         if not node.get("computed"):
             raise _Unsupported("dot member access")
-        return _to_string(self.eval(node.property))
+        return to_string(_to_primitive(self.eval(node.property)))
 
     def _member(self, obj, key: str):
         if isinstance(obj, list):
@@ -298,16 +199,14 @@ class _Evaluator:
         if isinstance(callee, _Bootstrap):
             if len(args) != 1:
                 raise _Unsupported("bootstrap arity")
-            text = _to_string(args[0])
-            return _js_escape(text) if callee.name == "escape" else js_unescape(text)
+            text = to_string(_to_primitive(args[0]))
+            return escape(text) if callee.name == "escape" else unescape(text)
         if isinstance(callee, _Native):
             if callee.name == "entries" and not args:
                 return _ArrayIterator()
             if callee.name == "toString" and isinstance(callee.this, float):
-                radix = int(_to_number(args[0])) if args else 10
-                if not 2 <= radix <= 36 or not float(callee.this).is_integer():
-                    raise _Unsupported("toString radix")
-                return _to_base(int(callee.this), radix)
+                radix = int(to_number(_to_primitive(args[0]))) if args else 10
+                return number_to_string(callee.this, radix)
             raise _Unsupported(f"native call {callee.name}")
         raise _Unsupported(f"call on {type(callee).__name__}")
 

@@ -25,10 +25,8 @@ rotator are dropped once every call site resolved.
 
 from __future__ import annotations
 
-import base64
-import binascii
-
 from repro.deob.base import DeobPass, PassContext, PassResult
+from repro.flows.values import atob_utf8, decode_table_entry
 from repro.js.ast_nodes import Node, clone
 from repro.js.builder import string
 from repro.js.visitor import NodeTransformer, walk
@@ -87,13 +85,6 @@ def _rotation_amount(statement: Node, array_name: str) -> int | None:
         for node in walk(call.callee.body)
     )
     return count if has_push_shift else None
-
-
-def _decode_base64(value: str) -> str | None:
-    try:
-        return base64.b64decode(value.encode("ascii"), validate=True).decode("utf-8")
-    except (binascii.Error, UnicodeDecodeError, ValueError):
-        return None
 
 
 class _Plan:
@@ -164,7 +155,6 @@ class _DecoderInliner(NodeTransformer):
         if not 0 <= position < len(decoder.table):
             self.unresolved.add(callee.name)
             return None
-        from repro.flows.values import decode_table_entry
 
         decoded = decode_table_entry(decoder.kind, decoder.table[position], key)
         if decoded is None:
@@ -241,7 +231,7 @@ class StringArrayInlinePass(DeobPass):
                 shift = rotation % len(stored)
                 stored = stored[shift:] + stored[:shift]
             if evidence.encoded:
-                decoded = [_decode_base64(value) for value in stored]
+                decoded = [atob_utf8(value) for value in stored]
                 if any(value is None for value in decoded):
                     continue
                 stored = [value for value in decoded if value is not None]

@@ -15,19 +15,7 @@ from __future__ import annotations
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
 from repro.js.visitor import walk
-
-
-def _is_truthy_literal(test: Node | None) -> bool:
-    if test is None:
-        return False
-    if test.type == "Literal":
-        return bool(test.value)
-    return (
-        test.type == "UnaryExpression"
-        and test.operator == "!"
-        and test.argument.type == "Literal"
-        and not test.argument.value
-    )
+from repro.rules.context import is_truthy_literal
 
 
 def _match_dispatcher(decl: Node, loop: Node) -> tuple[str, list[str], Node] | None:
@@ -36,7 +24,7 @@ def _match_dispatcher(decl: Node, loop: Node) -> tuple[str, list[str], Node] | N
         return None
     if len(decl.declarations) != 2:
         return None
-    if not _is_truthy_literal(loop.get("test")):
+    if not is_truthy_literal(loop.get("test")):
         return None
     body = loop.body
     statements = body.body if body.type == "BlockStatement" else [body]
@@ -178,7 +166,7 @@ class UnflattenPass(DeobPass):
 
 def _is_dispatcher_loop(loop: Node) -> bool:
     """``while (true) { … switch … }``: the loop a dispatcher runs in."""
-    if not _is_truthy_literal(loop.get("test")):
+    if not is_truthy_literal(loop.get("test")):
         return False
     body = loop.body
     statements = body.body if body.type == "BlockStatement" else [body]

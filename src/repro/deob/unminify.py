@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
 from repro.js.builder import expr_statement, identifier, literal
+from repro.js.semantics import is_number, literal_value
 from repro.js.visitor import NodeTransformer
 
 
@@ -26,16 +27,10 @@ def _is_void_zero(node: Node) -> bool:
 
 def _bang_literal(node: Node) -> bool | None:
     """``!0`` → True, ``!1`` → False, anything else → None."""
-    if (
-        node.type == "UnaryExpression"
-        and node.operator == "!"
-        and node.argument.type == "Literal"
-        and isinstance(node.argument.value, (int, float))
-        and not isinstance(node.argument.value, bool)
-        and node.argument.value in (0, 1)
-    ):
-        return node.argument.value == 0
-    return None
+    if node.operator != "!" or node.argument.type != "Literal":
+        return None
+    value = literal_value(node.argument)
+    return value == 0 if is_number(value) and value in (0, 1) else None
 
 
 class _Expander(NodeTransformer):

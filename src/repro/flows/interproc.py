@@ -48,6 +48,7 @@ from repro.flows.values import (
 )
 from repro.js.ast_nodes import Node, iter_child_nodes
 from repro.js.scope import FUNCTION_TYPES, analyze_scopes
+from repro.js.semantics import from_char_code, is_number
 
 __all__ = [
     "InterprocBudget",
@@ -524,9 +525,9 @@ class _Evaluator:
             prop = callee.property
             prop_name = prop.name if prop.type == "Identifier" else None
             if prop_name == "fromCharCode" and arguments:
-                codes = [const_int(self.eval(a, env, depth)) for a in arguments]
-                if all(code is not None and 0 <= code <= 0x10FFFF for code in codes):
-                    return Const("".join(chr(code) for code in codes))  # type: ignore[arg-type]
+                codes = [self.eval(a, env, depth) for a in arguments]
+                if all(isinstance(code, Const) and is_number(code.value) for code in codes):
+                    return Const(from_char_code(code.value for code in codes))
         return UNKNOWN
 
     def _eval_return(self, fn_node: Node, env: dict[int, object], depth: int) -> object:

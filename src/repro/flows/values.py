@@ -14,19 +14,20 @@ decoder-recovery summaries consume:
   first parameter),
 - :data:`UNKNOWN` — everything else.
 
-The module also owns the concrete string-decoding primitives
-(``atob``-style base64, RC4 keystream mixing) so the deobfuscation layer
-can *replay* a summarised decoder in Python without executing any
-JavaScript.  The RC4 helper mirrors the JavaScript idiom exactly: byte
-semantics are ``charCodeAt``/``fromCharCode`` over code points < 256
-(latin-1), which is what ``atob`` hands a real decoder.
+The module also owns the concrete string-decoding primitives (UTF-8
+base64, RC4 keystream mixing) so the deobfuscation layer can *replay* a
+summarised decoder in Python without executing any JavaScript.  The RC4
+helper mirrors the JavaScript idiom exactly: byte semantics are
+``charCodeAt``/``fromCharCode`` over code points < 256 (latin-1), which
+is what ``atob`` (:func:`repro.js.semantics.atob`) hands a real decoder.
+Folding itself follows :mod:`repro.js.semantics`.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 from dataclasses import dataclass
+
+from repro.js.semantics import atob, binary, is_number
 
 
 class _Unknown:
@@ -91,19 +92,12 @@ Value = object  # Const | StringTable | FunctionVal | ParamRef | TableLookup | _
 # -- concrete decoding primitives ---------------------------------------------
 
 
-def atob_bytes(value: str) -> str | None:
-    """``atob`` semantics: base64 → latin-1 "binary string" (or None)."""
-    try:
-        return base64.b64decode(value.encode("ascii"), validate=True).decode("latin-1")
-    except (binascii.Error, UnicodeDecodeError, UnicodeEncodeError, ValueError):
-        return None
-
-
 def atob_utf8(value: str) -> str | None:
-    """Base64 → UTF-8 text, the encoding the transformer's b64 mode uses."""
+    """``atob`` read as UTF-8 text, the encoding the transformer's b64 mode uses."""
+    decoded = atob(value)
     try:
-        return base64.b64decode(value.encode("ascii"), validate=True).decode("utf-8")
-    except (binascii.Error, UnicodeDecodeError, UnicodeEncodeError, ValueError):
+        return None if decoded is None else decoded.encode("latin-1").decode("utf-8")
+    except UnicodeDecodeError:
         return None
 
 
@@ -148,52 +142,27 @@ def decode_table_entry(kind: str, stored: str, key: str | None = None) -> str | 
     if kind == "rc4":
         if key is None:
             return None
-        binary = atob_bytes(stored)
-        if binary is None:
+        decoded = atob(stored)
+        if decoded is None:
             return None
-        return rc4(key, binary)
+        return rc4(key, decoded)
     return None
 
 
 # -- abstract folding helpers -------------------------------------------------
 
-_NUMERIC = (int, float)
-
 
 def fold_binary(operator: str, left: Value, right: Value) -> Value:
-    """Fold a binary expression over two abstract values."""
+    """Fold ``string + string`` and ``number op number`` for
+    ``+ - * % ^`` over two abstract values, to the JavaScript value."""
     if not isinstance(left, Const) or not isinstance(right, Const):
         return UNKNOWN
     lv, rv = left.value, right.value
-    try:
-        if operator == "+":
-            if isinstance(lv, str) and isinstance(rv, str):
-                return Const(lv + rv)
-            if (
-                isinstance(lv, _NUMERIC)
-                and isinstance(rv, _NUMERIC)
-                and not isinstance(lv, bool)
-                and not isinstance(rv, bool)
-            ):
-                return Const(lv + rv)
-            return UNKNOWN
-        if not (
-            isinstance(lv, _NUMERIC)
-            and isinstance(rv, _NUMERIC)
-            and not isinstance(lv, bool)
-            and not isinstance(rv, bool)
-        ):
-            return UNKNOWN
-        if operator == "-":
-            return Const(lv - rv)
-        if operator == "*":
-            return Const(lv * rv)
-        if operator == "%" and rv:
-            return Const(lv % rv)
-        if operator == "^" and isinstance(lv, int) and isinstance(rv, int):
-            return Const(lv ^ rv)
-    except (ArithmeticError, TypeError, ValueError):  # pragma: no cover - safety
-        return UNKNOWN
+    if is_number(lv) and is_number(rv):
+        if operator in ("+", "-", "*", "%", "^"):
+            return Const(binary(operator, lv, rv))
+    elif operator == "+" and isinstance(lv, str) and isinstance(rv, str):
+        return Const(lv + rv)
     return UNKNOWN
 
 
@@ -201,8 +170,7 @@ def const_int(value: Value) -> int | None:
     """The integral value of a Const, or None."""
     if (
         isinstance(value, Const)
-        and isinstance(value.value, _NUMERIC)
-        and not isinstance(value.value, bool)
+        and is_number(value.value)
         and float(value.value).is_integer()
     ):
         return int(value.value)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 
 from repro.js.ast_nodes import Node
+from repro.js.semantics import to_string
 
 # Expression precedence used to decide parenthesis insertion.
 _PRECEDENCE = {
@@ -490,7 +491,12 @@ class CodeGenerator:
             self._emit(";")
 
     def _stmt_ExportAllDeclaration(self, node: Node) -> None:
-        self._emit("export * from ")
+        self._emit("export * ")
+        if node.get("exported") is not None:
+            self._emit("as ")
+            self._expression(node.exported, _PRIMARY)
+            self._emit(" ")
+        self._emit("from ")
         self._expression(node.source, _PRIMARY)
         self._emit(";")
 
@@ -512,26 +518,13 @@ class CodeGenerator:
         self._emit(node.name)
 
     def _expr_Literal(self, node: Node) -> None:
-        if node.get("regex") is not None:
-            self._emit(node.raw)
-            return
-        raw = node.get("raw")
+        raw = node.get("raw")  # a regex literal always keeps its raw
         if raw is not None:
             self._emit(raw)
-            return
-        value = node.value
-        if value is None:
-            self._emit("null")
-        elif value is True:
-            self._emit("true")
-        elif value is False:
-            self._emit("false")
-        elif isinstance(value, str):
-            self._emit(_quote_string(value))
-        elif isinstance(value, float) and value.is_integer():
-            self._emit(str(int(value)))
+        elif isinstance(node.value, str):
+            self._emit(_quote_string(node.value))
         else:
-            self._emit(repr(value))
+            self._emit(to_string(node.value))
 
     def _expr_ThisExpression(self, node: Node) -> None:
         self._emit("this")

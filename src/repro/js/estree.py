@@ -61,7 +61,7 @@ _SCHEMA_SPEC: dict[str, str] = {
     "ImportNamespaceSpecifier": "local* start end",
     "ImportSpecifier": "imported* local* start end",
     "ExportDefaultDeclaration": "declaration* start end",
-    "ExportAllDeclaration": "source* start end",
+    "ExportAllDeclaration": "exported* source* start end",
     "ExportNamedDeclaration": "declaration* specifiers* source* start end",
     "ExportSpecifier": "local* exported* start end",
     "SequenceExpression": "expressions* start end",

@@ -901,11 +901,16 @@ class Parser:
             )
         if self._at_punct("*"):
             self._advance()
+            exported = None
+            if self.token.type is TokenType.IDENTIFIER and self.token.value == "as":
+                self._advance()
+                exported = self._parse_identifier_name()
             if self.token.type is TokenType.IDENTIFIER and self.token.value == "from":
                 self._advance()
             source_token = self._advance()
             self._consume_semicolon()
             return _ExportAllDeclaration(
+                exported=exported,
                 source=self._literal_from_token(source_token),
                 start=start.start,
                 end=source_token.end,

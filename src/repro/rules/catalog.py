@@ -22,6 +22,7 @@ from repro.rules.context import (
     RuleContext,
     callee_name,
     is_constant_false,
+    is_truthy_literal,
     prop_name,
     walk_subtree,
 )
@@ -670,19 +671,6 @@ class JsFuckCharsetRule(Rule):
         ]
 
 
-def _is_truthy_literal(test: Node | None) -> bool:
-    if test is None:
-        return False
-    if test.type == "Literal":
-        return bool(test.value)
-    return (
-        test.type == "UnaryExpression"
-        and test.operator == "!"
-        and test.argument.type == "Literal"
-        and not test.argument.value
-    )
-
-
 class SwitchDispatcherRule(Rule):
     """R009 — control-flow-flattening dispatcher loop.
 
@@ -704,9 +692,9 @@ class SwitchDispatcherRule(Rule):
         loops = ctx.nodes("WhileStatement", "DoWhileStatement", "ForStatement")
         for loop in loops:
             if loop.type == "ForStatement":
-                if loop.get("test") is not None and not _is_truthy_literal(loop.test):
+                if loop.get("test") is not None and not is_truthy_literal(loop.test):
                     continue
-            elif not _is_truthy_literal(loop.get("test")):
+            elif not is_truthy_literal(loop.get("test")):
                 continue
             body = loop.body
             statements = body.body if body.type == "BlockStatement" else [body]

@@ -20,9 +20,8 @@ from repro.js.ast_nodes import Node, iter_child_nodes
 from repro.js.flat import FlatIndex, build_flat_index
 from repro.js.parser import Parser
 from repro.js.scope import analyze_scopes
+from repro.js.semantics import MISS, literal_value, to_boolean
 from repro.js.tokens import Token, TokenType
-
-_MISSING = object()
 
 
 class RuleContext:
@@ -254,13 +253,6 @@ def callee_name(call: Node) -> str | None:
     return callee.name if callee.type == "Identifier" else None
 
 
-def literal_value(node: Node) -> object:
-    """The value of a ``Literal`` node, else :data:`_MISSING`."""
-    if node.type == "Literal":
-        return node.value
-    return _MISSING
-
-
 def is_constant_false(test: Node) -> bool:
     """True when a branch test statically evaluates to false.
 
@@ -272,10 +264,11 @@ def is_constant_false(test: Node) -> bool:
     coercion semantics make those unsafe to fold statically.
     """
     if test.type == "Literal":
-        return not test.value
+        value = literal_value(test)
+        return value is not MISS and not to_boolean(value)
     if test.type == "BinaryExpression":
         left, right = literal_value(test.left), literal_value(test.right)
-        if left is _MISSING or right is _MISSING:
+        if left is MISS or right is MISS:
             return False
         if type(left) is not type(right):
             return False
@@ -285,6 +278,21 @@ def is_constant_false(test: Node) -> bool:
         if op in ("!==", "!="):
             return not (left != right)
     return False
+
+
+def is_truthy_literal(test: Node | None) -> bool:
+    """True for an always-true loop test: a truthy literal or ``!`` of a
+    falsy one."""
+    if test is None:
+        return False
+    if test.type == "Literal":
+        return bool(test.value)
+    return (
+        test.type == "UnaryExpression"
+        and test.operator == "!"
+        and test.argument.type == "Literal"
+        and not test.argument.value
+    )
 
 
 def walk_subtree(node: Node):

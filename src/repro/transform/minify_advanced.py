@@ -20,6 +20,7 @@ from repro.js.ast_nodes import Node
 from repro.js.builder import literal, sequence, unary
 from repro.js.codegen import generate
 from repro.js.parser import parse
+from repro.js.semantics import MISS, binary, has_literal, is_number, literal_value, to_boolean
 from repro.js.visitor import NodeTransformer
 from repro.transform.base import Technique, Transformer, register
 from repro.transform.renaming import rename_short
@@ -29,62 +30,34 @@ _TERMINATORS = frozenset(
 )
 
 
-def _literal_value(node: Node):
-    """The compile-time value of a node, or a miss sentinel."""
-    if node.type == "Literal" and node.get("regex") is None:
-        return node.value
-    if node.type == "UnaryExpression" and node.operator == "-":
-        inner = _literal_value(node.argument)
-        if isinstance(inner, (int, float)) and not isinstance(inner, bool):
-            return -inner
-    if node.type == "UnaryExpression" and node.operator == "!":
-        inner = _literal_value(node.argument)
-        if isinstance(inner, (int, float)) and not isinstance(inner, bool):
-            return not inner
-        if isinstance(inner, bool):
-            return not inner
-    return _MISS
-
-
-_MISS = object()
-
-
 class _Folder(NodeTransformer):
     """Bottom-up simplification passes (children are already folded)."""
 
     def visit_BinaryExpression(self, node: Node) -> Node | None:
-        left = _literal_value(node.left)
-        right = _literal_value(node.right)
-        if left is _MISS or right is _MISS:
+        left = literal_value(node.left)
+        right = literal_value(node.right)
+        if left is MISS or right is MISS:
             return None
-        try:
-            if node.operator == "+":
-                if isinstance(left, str) or isinstance(right, str):
-                    value = _to_js_string(left) + _to_js_string(right)
-                elif isinstance(left, (int, float)) and isinstance(right, (int, float)):
-                    value = left + right
-                else:
-                    return None
-            elif node.operator == "-" and _both_numbers(left, right):
-                value = left - right
-            elif node.operator == "*" and _both_numbers(left, right):
-                value = left * right
-            elif node.operator == "/" and _both_numbers(left, right) and right != 0:
-                value = left / right
-                if isinstance(value, float) and value.is_integer():
-                    value = int(value)
-            elif node.operator == "%" and _both_numbers(left, right) and right != 0:
-                value = left % right
-            else:
+        operator = node.operator
+        if operator == "+":
+            # A string on either side concatenates; numbers and booleans add.
+            if not (
+                isinstance(left, str)
+                or isinstance(right, str)
+                or (isinstance(left, (int, float)) and isinstance(right, (int, float)))
+            ):
                 return None
-        except (TypeError, OverflowError):  # pragma: no cover - defensive
+        elif operator not in ("-", "*", "/", "%") or not (is_number(left) and is_number(right)):
             return None
+        value = binary(operator, left, right)
+        if not has_literal(value):
+            return None  # NaN, ±Infinity and -0 have no literal: keep the code
         return literal(value)
 
     def visit_IfStatement(self, node: Node) -> Node | list | object | None:
-        test = _literal_value(node.test)
-        if test is not _MISS:
-            if test:
+        test = literal_value(node.test)
+        if test is not MISS:
+            if to_boolean(test):
                 return node.consequent
             if node.alternate is not None:
                 return node.alternate
@@ -135,25 +108,6 @@ class _Folder(NodeTransformer):
     def visit_Program(self, node: Node) -> Node | None:
         node.body = _compress_statements(node.body)
         return None
-
-
-def _both_numbers(left, right) -> bool:
-    return (
-        isinstance(left, (int, float))
-        and not isinstance(left, bool)
-        and isinstance(right, (int, float))
-        and not isinstance(right, bool)
-    )
-
-
-def _to_js_string(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
 
 
 def _single_expression(statement: Node | None) -> Node | None:

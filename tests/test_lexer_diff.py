@@ -409,6 +409,7 @@ ROUND_TRIP = [
     # trailing array holes (`[1,,]` has length 2, `[,]` length 1)
     "var a = [1,,];",
     "[,];",
+    "export * as ns from 'm';",
 ]
 
 

@@ -4,12 +4,12 @@ import random
 
 from repro.js.codegen import generate
 from repro.js.parser import parse
+from repro.js.semantics import MISS as _MISS
+from repro.js.semantics import literal_value as _literal_value
 from repro.transform.minify_advanced import (
     AdvancedMinifier,
     _compress_statements,
     _Folder,
-    _literal_value,
-    _MISS,
     _single_expression,
 )
 

@@ -466,6 +466,13 @@ class TestModules:
     def test_export_all(self):
         statement = first("export * from 'mod';")
         assert statement.type == "ExportAllDeclaration"
+        assert statement.exported is None
+
+    def test_export_all_as_namespace(self):
+        statement = first("export * as ns from 'mod';")
+        assert statement.type == "ExportAllDeclaration"
+        assert statement.exported.name == "ns"
+        assert statement.source.value == "mod"
 
 
 class TestErrors:
