@@ -97,10 +97,21 @@ if grep -rnE 'b64decode[[:space:]]*\(' src/repro/transform src/repro/deob src/re
   exit 1
 fi
 
+# Deob edit gate: a deob pass builds an edit map read-only and returns
+# clone(program, edits).  NodeTransformer rewrites in place and cannot
+# leave a statement in a single-statement slot (`if (a) if (false) x();`
+# crashed codegen), so it stays with the advanced minifier, which
+# rewrites a fresh parse it owns.
+if grep -rnw 'NodeTransformer' src/repro/deob --include='*.py'; then
+  echo "[lint] src/repro/deob imports or subclasses NodeTransformer (see matches above)" >&2
+  echo "[lint] compute edits and return clone(program, edits) instead" >&2
+  exit 1
+fi
+
 # Deob purity gate: deobfuscation passes must never mutate the AST they
-# are handed — they scan read-only and rewrite a clone().  A pass that
-# edits in place corrupts the engine's fixpoint bookkeeping (and any
-# caller still holding the tree), so this runs each registered pass
+# are handed — they scan read-only and return clone(program, edits).  A
+# pass that edits in place corrupts the engine's fixpoint bookkeeping (and
+# any caller still holding the tree), so this runs each registered pass
 # against a transformed sample and asserts the input tree is bit-identical
 # afterwards.  Pure stdlib + repro, so it always runs.
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY'

@@ -3,20 +3,22 @@
 A deobfuscation pass is a *pure* AST rewrite: it receives the current
 program plus a :class:`PassContext` and returns a :class:`PassResult`
 whose ``program`` is either the input (untouched, zero rewrites) or a
-fresh tree.  Passes must never mutate the input AST in place — the lint
-gate in ``scripts/lint.sh`` runs every registered pass against a canned
-sample and fails the build if the input tree changed.  The idiomatic
-implementation is: decide applicability from the context's typed node
-lists, and only when the pass will fire, ``clone()`` the program and
-rewrite the clone.
+fresh tree.  Every pass rewrites the same way: it reads the state's
+typed node lists, bindings and interprocedural result through the
+context, builds an edit map (``id(node)`` → replacement) without
+changing anything, and returns ``clone(program, edits)`` when the map is
+not empty (see :func:`~repro.js.ast_nodes.clone`).  The lint gate in
+``scripts/lint.sh`` runs every registered pass against a canned sample
+and fails the build if the input tree changed.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
+from repro.flows.interproc import InterprocResult, analyze_program
 from repro.js.ast_nodes import Node, clone
 from repro.js.scope import Binding, analyze_scopes
 from repro.rules.context import RuleContext, nodes_by_type, prop_name, select_types
@@ -51,12 +53,13 @@ class PassContext:
     state — passes consume the typed evidence on them (dispatcher order
     strings, string-array offsets) instead of re-deriving it.
     ``analysis`` is the rule context those findings came from: the
-    passes read the state's typed node lists, identifier names and
-    bindings through :meth:`nodes`, :meth:`names` and :meth:`bindings`,
-    which reuse the rules' walk and scope analysis.  A tree an earlier
-    pass produced in the same iteration (or any tree, without an
-    ``analysis``) gets its index from the same accessors, built on first
-    use; only the latest tree's index is kept.
+    passes read the state's typed node lists, identifier names, bindings
+    and interprocedural summaries through :meth:`nodes`, :meth:`names`,
+    :meth:`bindings` and :meth:`interproc`, which reuse the rules' walk,
+    scope analysis and decoder analysis.  A tree an earlier pass produced
+    in the same iteration (or any tree, without an ``analysis``) gets its
+    index from the same accessors, built on first use; only the latest
+    tree's index is kept.
     """
 
     source: str  #: source text of the current program state
@@ -83,13 +86,29 @@ class PassContext:
         """Every identifier spelling in ``program``."""
         return {node.name for node in self.nodes(program, "Identifier")}
 
-    def bindings(self, program: Node) -> list[Binding]:
-        """Every binding in ``program``'s scopes.  Any tree but the state's
-        is analysed on a copy, so the tree a pass was handed is never
-        annotated: rename through a clone's own analysis."""
+    def scoped(self, program: Node) -> tuple[Node, list[Binding]]:
+        """Every binding in ``program``'s scopes, and the tree they annotate.
+
+        That is ``program`` itself when it is the state's tree.  Any other
+        tree is analysed on a copy, so the tree a pass was handed is never
+        annotated: a pass that edits by binding keys its edits on the
+        returned tree and clones that."""
         if self._analysed(program):
-            return list(self.analysis.enhanced.scope.iter_all_bindings())
-        return list(analyze_scopes(clone(program)).iter_all_bindings())
+            return program, list(self.analysis.enhanced.scope.iter_all_bindings())
+        copy = clone(program)
+        return copy, list(analyze_scopes(copy).iter_all_bindings())
+
+    def bindings(self, program: Node) -> list[Binding]:
+        """Every binding in ``program``'s scopes (see :meth:`scoped`)."""
+        return self.scoped(program)[1]
+
+    def interproc(self, program: Node) -> InterprocResult:
+        """``program``'s interprocedural summaries: the state's own, which
+        the decoder rules computed and cached, or for any other tree those
+        of a copy."""
+        if self._analysed(program):
+            return self.analysis.interproc
+        return analyze_program(clone(program))
 
     def dispatcher_order(self, state_variable: str) -> list[str] | None:
         """Execution-order case labels recovered for a dispatcher, if any."""
@@ -197,3 +216,43 @@ def is_pure_expression(node: Node | None) -> bool:
             is_pure_expression(arg) for arg in node.arguments
         )
     return False
+
+
+def drop_declarations(
+    declarations: list[Node],
+    functions: set[str],
+    variables: set[str],
+    edits: dict[int, Any],
+    init: Callable[[Node | None], bool] | None = None,
+) -> int:
+    """Edit out named declarations; the number of declarations removed.
+
+    ``declarations`` are FunctionDeclaration and VariableDeclaration
+    nodes.  A function declaration goes when ``functions`` names it, a
+    declarator when ``variables`` names its identifier and ``init`` (if
+    given) accepts its initializer, and a declaration goes whole once
+    every declarator is gone.
+    """
+    removed = 0
+    for node in declarations:
+        if node.type == "FunctionDeclaration":
+            identifier = node.get("id")
+            if identifier is not None and identifier.name in functions:
+                edits[id(node)] = []
+                removed += 1
+            continue
+        dropped = [
+            declarator
+            for declarator in node.declarations
+            if declarator.id.type == "Identifier"
+            and declarator.id.name in variables
+            and (init is None or init(declarator.get("init")))
+        ]
+        if not dropped:
+            continue
+        removed += len(dropped)
+        if len(dropped) == len(node.declarations):
+            edits[id(node)] = []
+        else:
+            edits.update((id(declarator), []) for declarator in dropped)
+    return removed

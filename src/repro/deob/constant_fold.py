@@ -19,7 +19,7 @@ import re
 
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
-from repro.js.builder import literal, string
+from repro.js.builder import literal, string, unary
 from repro.js.semantics import (
     MISS,
     atob,
@@ -30,7 +30,6 @@ from repro.js.semantics import (
     literal_value,
     unescape,
 )
-from repro.js.visitor import NodeTransformer
 from repro.rules.context import prop_name
 
 _ESCAPE_RE = re.compile(r"\\x[0-9a-fA-F]{2}|\\u[0-9a-fA-F]{4}")
@@ -41,30 +40,54 @@ def _method_name(call: Node) -> str | None:
     return prop_name(call.callee) if call.callee.type == "MemberExpression" else None
 
 
-class _Folder(NodeTransformer):
+class _Folder:
+    """Folds children first: each node's replacement is computed once, from
+    its children as folded (``String.fromCharCode(104) + "i"``)."""
+
     def __init__(self) -> None:
-        self.rewrites = 0
+        self.edits: dict[int, Node] = {}
+        self._folded: dict[int, Node] = {}
+
+    def fold(self, node: Node) -> Node:
+        """``node`` as folded: its replacement, or itself."""
+        folded = self._folded.get(id(node))
+        if folded is None:
+            folded = self._folded[id(node)] = self._fold(node)
+        return folded
 
     def _fold(self, node: Node) -> Node:
-        self.rewrites += 1
-        return node
+        node_type = node.type
+        if node_type == "UnaryExpression":
+            # Kept, but read through its folded operand: `-(1 + 2)` is -3.
+            argument = self.fold(node.argument)
+            if argument is node.argument or node.operator not in ("-", "!"):
+                return node
+            return unary(node.operator, argument)
+        if node_type == "BinaryExpression":
+            folded = self._fold_binary(node)
+        elif node_type == "CallExpression":
+            folded = (
+                self._fold_from_char_code(node)
+                or self._fold_reverse_join(node)
+                or self._fold_decoder(node)
+            )
+        elif node_type == "Literal" and _raw_needs_normalizing(node):
+            folded = literal(literal_value(node))
+        else:
+            folded = None
+        if folded is None:
+            return node
+        self.edits[id(node)] = folded
+        return folded
 
-    def visit_BinaryExpression(self, node: Node) -> Node | None:
-        operands = _foldable_operands(node)
+    def _fold_binary(self, node: Node) -> Node | None:
+        operands = _foldable_operands(node.operator, self.fold(node.left), self.fold(node.right))
         if operands is None:
             return None
         value = binary(node.operator, *operands)
         if not has_literal(value):
             return None  # NaN, ±Infinity and -0 have no literal: keep the code
-        return self._fold(literal(value))
-
-    def visit_CallExpression(self, node: Node) -> Node | None:
-        folded = self._fold_from_char_code(node)
-        if folded is None:
-            folded = self._fold_reverse_join(node)
-        if folded is None:
-            folded = self._fold_decoder(node)
-        return folded
+        return literal(value)
 
     def _fold_from_char_code(self, node: Node) -> Node | None:
         callee = node.callee
@@ -76,59 +99,62 @@ class _Folder(NodeTransformer):
             or not node.arguments
         ):
             return None
-        codes = [literal_value(argument) for argument in node.arguments]
+        codes = [literal_value(self.fold(argument)) for argument in node.arguments]
         if not all(map(is_number, codes)):
             return None
-        return self._fold(string(from_char_code(codes)))
+        return string(from_char_code(codes))
 
     def _fold_reverse_join(self, node: Node) -> Node | None:
         # "fedcba".split("").reverse().join("")
-        if _method_name(node) != "join" or not _args_are(node, [""]):
+        if _method_name(node) != "join" or not self._args_are(node, [""]):
             return None
-        reverse = node.callee.object
+        reverse = self.fold(node.callee.object)
         if (
             reverse.type != "CallExpression"
             or _method_name(reverse) != "reverse"
             or reverse.arguments
         ):
             return None
-        split = reverse.callee.object
+        split = self.fold(reverse.callee.object)
         if (
             split.type != "CallExpression"
             or _method_name(split) != "split"
-            or not _args_are(split, [""])
+            or not self._args_are(split, [""])
         ):
             return None
-        source = split.callee.object
+        source = self.fold(split.callee.object)
         if source.type != "Literal" or not isinstance(source.value, str):
             return None
-        return self._fold(string(source.value[::-1]))
+        if any(ord(char) > 0xFFFF for char in source.value):
+            return None  # JS reverses UTF-16 units and would split the pairs
+        return string(source.value[::-1])
 
     def _fold_decoder(self, node: Node) -> Node | None:
         callee = node.callee
         if callee.type != "Identifier" or len(node.arguments) != 1:
             return None
-        argument = node.arguments[0]
+        argument = self.fold(node.arguments[0])
         if argument.type != "Literal" or not isinstance(argument.value, str):
             return None
         if callee.name == "atob":
             decoded = atob(argument.value)
             if decoded is None:
                 return None
-            return self._fold(string(decoded))
+            return string(decoded)
         if callee.name == "unescape":
             decoded = unescape(argument.value)
             if decoded == argument.value:
                 return None
-            return self._fold(string(decoded))
+            return string(decoded)
         return None
 
-    def visit_Literal(self, node: Node) -> Node | None:
-        if not _raw_needs_normalizing(node):
-            return None
-        if isinstance(node.value, str):
-            return self._fold(string(node.value))
-        return self._fold(literal(literal_value(node)))
+    def _args_are(self, call: Node, values: list) -> bool:
+        if len(call.arguments) != len(values):
+            return False
+        return all(
+            folded.type == "Literal" and folded.value == value
+            for folded, value in zip(map(self.fold, call.arguments), values)
+        )
 
 
 def _raw_needs_normalizing(node: Node) -> bool:
@@ -147,35 +173,26 @@ def _raw_needs_normalizing(node: Node) -> bool:
     return False
 
 
-def _foldable_operands(node: Node) -> tuple | None:
+def _foldable_operands(operator: str, left: Node, right: Node) -> tuple | None:
     """The literal operands of ``string + string`` or ``number (+|-|*)
     number``, else None."""
-    if node.operator not in ("+", "-", "*"):
+    if operator not in ("+", "-", "*"):
         return None
-    left = literal_value(node.left)
+    left = literal_value(left)
     if left is MISS:
         return None
-    right = literal_value(node.right)
+    right = literal_value(right)
     if (is_number(left) and is_number(right)) or (
-        node.operator == "+" and type(left) is str and type(right) is str
+        operator == "+" and type(left) is str and type(right) is str
     ):
         return left, right
     return None
 
 
-def _args_are(call: Node, values: list) -> bool:
-    if len(call.arguments) != len(values):
-        return False
-    return all(
-        argument.type == "Literal" and argument.value == value
-        for argument, value in zip(call.arguments, values)
-    )
-
-
 def _would_fold(program: Node, ctx: PassContext) -> bool:
     """Read-only applicability check over the typed node lists."""
     for node in ctx.nodes(program, "BinaryExpression"):
-        if _foldable_operands(node) is not None:
+        if _foldable_operands(node.operator, node.left, node.right) is not None:
             return True
     if any(map(_raw_needs_normalizing, ctx.nodes(program, "Literal"))):
         return True
@@ -196,7 +213,8 @@ class ConstantFoldPass(DeobPass):
         if not _would_fold(program, ctx):
             return PassResult(program)
         folder = _Folder()
-        work = folder.transform(clone(program))
-        if folder.rewrites == 0:
+        for node in ctx.nodes(program, "Literal", "BinaryExpression", "CallExpression"):
+            folder.fold(node)
+        if not folder.edits:
             return PassResult(program)
-        return PassResult(work, folder.rewrites)
+        return PassResult(clone(program, folder.edits), len(folder.edits))

@@ -19,60 +19,18 @@ from __future__ import annotations
 
 import re
 
-from repro.deob.base import DeobPass, PassContext, PassResult, is_pure_expression
+from repro.deob.base import (
+    DeobPass,
+    PassContext,
+    PassResult,
+    drop_declarations,
+    is_pure_expression,
+)
 from repro.js.ast_nodes import Node, clone
-from repro.js.visitor import NodeTransformer
+from repro.js.semantics import static_truth
+from repro.js.visitor import walk
 
 _HEX_NAME_RE = re.compile(r"^_0x[0-9a-fA-F]+$")
-
-_COMPARISONS = {
-    "===": lambda a, b: a is b or a == b,
-    "!==": lambda a, b: not (a is b or a == b),
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
-
-
-def static_truth(test: Node) -> bool | None:
-    """The compile-time truth value of a test expression, or ``None``."""
-    if test.type == "Literal" and test.get("regex") is None:
-        return bool(test.value)
-    if test.type == "UnaryExpression" and test.operator == "!" and test.get("prefix"):
-        inner = static_truth(test.argument)
-        return None if inner is None else not inner
-    if test.type == "BinaryExpression" and test.operator in _COMPARISONS:
-        left, right = test.left, test.right
-        if (
-            left.type == "Literal"
-            and right.type == "Literal"
-            and left.get("regex") is None
-            and right.get("regex") is None
-        ):
-            return bool(_COMPARISONS[test.operator](left.value, right.value))
-    return None
-
-
-class _BranchFolder(NodeTransformer):
-    def __init__(self) -> None:
-        self.rewrites = 0
-
-    def visit_IfStatement(self, node: Node) -> Node | list | object | None:
-        truth = static_truth(node.test)
-        if truth is None:
-            return None
-        self.rewrites += 1
-        if truth:
-            return node.consequent
-        if node.get("alternate") is not None:
-            return node.alternate
-        return NodeTransformer.REMOVE
-
-    def visit_ConditionalExpression(self, node: Node) -> Node | None:
-        truth = static_truth(node.test)
-        if truth is None:
-            return None
-        self.rewrites += 1
-        return node.consequent if truth else node.alternate
 
 
 def _unused_junk_names(program: Node, ctx: PassContext) -> set[str]:
@@ -92,45 +50,10 @@ def _unused_junk_names(program: Node, ctx: PassContext) -> set[str]:
     }
 
 
-def _is_junk(node: Node, junk: set[str]) -> bool:
-    """A function declaration or variable declarator the dropper removes."""
-    if node.type == "FunctionDeclaration":
-        identifier = node.get("id")
-        return identifier is not None and identifier.name in junk
-    return (
-        node.id.type == "Identifier"
-        and node.id.name in junk
-        # init-less declarators stay: a `for (var x of …)` left has no
-        # init, and removing it would orphan the loop header.
-        and node.get("init") is not None
-        and is_pure_expression(node.init)
-    )
-
-
-class _JunkDropper(NodeTransformer):
-    def __init__(self, junk: set[str]):
-        self.junk = junk
-        self.removed = 0
-
-    def visit_FunctionDeclaration(self, node: Node) -> object | None:
-        if _is_junk(node, self.junk):
-            self.removed += 1
-            return NodeTransformer.REMOVE
-        return None
-
-    def visit_VariableDeclaration(self, node: Node) -> object | None:
-        kept = [
-            declarator
-            for declarator in node.declarations
-            if not _is_junk(declarator, self.junk)
-        ]
-        if len(kept) == len(node.declarations):
-            return None
-        self.removed += len(node.declarations) - len(kept)
-        if not kept:
-            return NodeTransformer.REMOVE
-        node.declarations = kept
-        return None
+def _pure_init(init: Node | None) -> bool:
+    # init-less declarators stay: a `for (var x of …)` left has no
+    # init, and removing it would orphan the loop header.
+    return init is not None and is_pure_expression(init)
 
 
 class DeadCodePass(DeobPass):
@@ -138,32 +61,31 @@ class DeadCodePass(DeobPass):
     techniques = ("dead_code_injection",)
 
     def rewrite(self, program: Node, ctx: PassContext) -> PassResult:
-        has_branch = any(
-            static_truth(node.test) is not None
-            for node in ctx.nodes(program, "IfStatement", "ConditionalExpression")
-        )
-        junk = _unused_junk_names(program, ctx)
-        # Without a branch to fold, the pass fires only if the dropper
-        # finds a declaration to remove (junk parameters it leaves alone).
-        if not has_branch and not (
-            junk
-            and any(
-                _is_junk(node, junk)
-                for node in ctx.nodes(program, "FunctionDeclaration", "VariableDeclarator")
+        edits: dict[int, Node | list] = {}
+        dead: list[Node] = []  # branches a fold discards
+        for node in ctx.nodes(program, "IfStatement", "ConditionalExpression"):
+            truth = static_truth(node.test)
+            if truth is None:
+                continue
+            live, other = (
+                (node.consequent, node.get("alternate"))
+                if truth
+                else (node.get("alternate"), node.consequent)
             )
-        ):
-            return PassResult(program)
-
-        work = clone(program)
-        rewrites = 0
-        if has_branch:
-            folder = _BranchFolder()
-            work = folder.transform(work)
-            rewrites += folder.rewrites
+            edits[id(node)] = [] if live is None else live
+            if other is not None:
+                dead.append(other)
+        rewrites = len(edits)
+        junk = _unused_junk_names(program, ctx)
         if junk:
-            dropper = _JunkDropper(junk)
-            work = dropper.transform(work)
-            rewrites += dropper.removed
-        if rewrites == 0:
+            # Declarations inside a discarded branch go with it uncounted.
+            discarded = {id(node) for branch in dead for node in walk(branch)}
+            declarations = [
+                node
+                for node in ctx.nodes(program, "FunctionDeclaration", "VariableDeclaration")
+                if id(node) not in discarded
+            ]
+            rewrites += drop_declarations(declarations, junk, junk, edits, _pure_init)
+        if not edits:
             return PassResult(program)
-        return PassResult(work, rewrites)
+        return PassResult(clone(program, edits), rewrites)

@@ -39,6 +39,7 @@ from repro.deob.unflatten import UnflattenPass
 from repro.deob.unminify import UnminifyPass
 from repro.deob.unpack import EvalUnwrapPass
 from repro.js.codegen import generate
+from repro.outcome import detection_error
 from repro.rules.context import RuleContext
 from repro.rules.engine import RuleEngine, default_engine
 from repro.rules.findings import max_confidence_by_technique
@@ -93,8 +94,10 @@ class DeobReport:
     techniques_before: dict[str, float] = field(default_factory=dict)
     techniques_after: dict[str, float] = field(default_factory=dict)
     techniques_removed: list[str] = field(default_factory=list)
-    bailed: str | None = None  #: budget that tripped, if any
-    error: str | None = None  #: fatal condition (input did not parse)
+    #: budget that tripped, "recursion", or "internal" (a pass or codegen
+    #: raised), if any
+    bailed: str | None = None
+    error: str | None = None  #: fatal condition (input did not parse, or an internal fault)
     wall_time_ms: float = 0.0
     notes: list[str] = field(default_factory=list)
 
@@ -166,11 +169,13 @@ class DeobEngine:
     # -- public API --------------------------------------------------------------
 
     def run(self, source: str) -> DeobResult:
-        """Normalize ``source``; never raises on malformed input.
+        """Normalize ``source``; never raises.
 
         A budget trip, or a ``RecursionError`` anywhere in the run (parse,
         rule re-runs, passes, codegen), returns the input unchanged with
-        the trip named in ``report.bailed``.  ``report.wall_time_ms`` is
+        the trip named in ``report.bailed``.  So does any other exception
+        a pass or codegen raises: ``bailed`` is then ``"internal"`` and
+        ``report.error`` says what failed.  ``report.wall_time_ms`` is
         left to the caller, since the engine reads no clock.
         """
         report = DeobReport(passes=[PassStats(p.name) for p in self.passes])
@@ -180,6 +185,10 @@ class DeobEngine:
             return self._bail(source, report, "recursion")
         except _WorkBudgetExceeded:
             return self._bail(source, report, "work-budget")
+        except Exception as exc:  # fail open: one file never aborts a batch
+            failed = self._bail(source, report, "internal")
+            failed.report.error = detection_error(exc).message
+            return failed
 
     # -- internals ---------------------------------------------------------------
 

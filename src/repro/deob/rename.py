@@ -17,9 +17,10 @@ import re
 
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
-from repro.js.scope import Binding, analyze_scopes
+from repro.js.builder import identifier
+from repro.js.scope import Binding
 from repro.js.tokens import KEYWORDS
-from repro.transform.renaming import _UNSAFE_NAMES, expand_shorthand_properties
+from repro.transform.renaming import _UNSAFE_NAMES
 
 _HEX_NAME_RE = re.compile(r"^_0x[0-9a-fA-F]+$")
 
@@ -41,20 +42,15 @@ class RenamePass(DeobPass):
     late = True
 
     def rewrite(self, program: Node, ctx: PassContext) -> PassResult:
-        if not any(
-            _HEX_NAME_RE.match(name) or len(name) <= 2 for name in ctx.names(program)
-        ) or not _candidates(ctx.bindings(program)):
+        if not any(_HEX_NAME_RE.match(name) or len(name) <= 2 for name in ctx.names(program)):
             return PassResult(program)
-        # The rename goes through the clone's own bindings; shorthand
-        # expansion adds no binding, so the candidates are the same ones.
-        work = clone(program)
-        expand_shorthand_properties(work)
-        bindings = list(analyze_scopes(work).iter_all_bindings())
+        tree, bindings = ctx.scoped(program)
         candidates = _candidates(bindings)
-
+        if not candidates:
+            return PassResult(program)
+        edits: dict[int, Node] = _unshared(tree, ctx)
         taken = {binding.name for binding in bindings}
         counters: dict[str, int] = {}
-        renamed = 0
         for binding in candidates:
             prefix = _KIND_PREFIX.get(binding.kind, "var")
             while True:
@@ -64,9 +60,43 @@ class RenamePass(DeobPass):
                     break
             taken.add(new_name)
             for node in binding.declarations + binding.references + binding.assignments:
-                node.name = new_name
-            renamed += 1
-        return PassResult(work, renamed)
+                edits[id(node)] = identifier(new_name)
+        return PassResult(clone(tree, edits), len(candidates))
+
+
+def _unshared(tree: Node, ctx: PassContext) -> dict[int, Node]:
+    """Edits that split the identifier nodes the parser shares between two
+    slots, so renaming the bound one leaves the other as written.
+
+    A shorthand property ``{x}`` (or pattern ``{x = 1}``) becomes
+    ``{x: x}`` with a key of its own, and every shorthand property is
+    written out; ``import {x}`` and ``export {x}`` keep their
+    module-facing name.
+    """
+    edits: dict[int, Node] = {}
+    for node in ctx.nodes(tree, "Property", "ImportSpecifier", "ExportSpecifier"):
+        if node.type == "Property":
+            if not node.get("shorthand"):
+                continue
+            value = node.value
+            shares_key = value is node.key or (
+                value.type == "AssignmentPattern" and value.left is node.key
+            )
+            key = identifier(node.key.name) if shares_key else node.key
+            edits[id(node)] = _with(node, key=key, shorthand=False)
+        elif node.type == "ImportSpecifier" and node.imported is node.local:
+            edits[id(node)] = _with(node, imported=identifier(node.imported.name))
+        elif node.type == "ExportSpecifier" and node.exported is node.local:
+            edits[id(node)] = _with(node, exported=identifier(node.exported.name))
+    return edits
+
+
+def _with(node: Node, **changes) -> Node:
+    """A shallow copy of ``node`` with ``changes``; its other children are
+    the input's, which the clone copies through the edits."""
+    fields = {key: value for key, value in node.fields().items() if key in node._fields}
+    fields.update(changes)
+    return Node(node.type, **fields)
 
 
 def _candidates(bindings: list[Binding]) -> list[Binding]:

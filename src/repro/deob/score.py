@@ -46,18 +46,6 @@ def rules_classifier(rules: RuleEngine | None = None) -> ClassifyFn:
     return classify
 
 
-def detector_classifier(detector) -> ClassifyFn:
-    """Confidences from a trained :class:`TransformationDetector`."""
-
-    def classify(source: str) -> dict[str, float]:
-        result = detector.classify(source, k=len(TECHNIQUES), threshold=0.0)
-        if result.error:
-            return {}
-        return {technique: confidence for technique, confidence in result.techniques}
-
-    return classify
-
-
 @dataclass
 class TechniqueRoundTrip:
     """Round-trip outcome for one technique over the corpus."""

@@ -13,10 +13,11 @@ each evidenced array the pass:
 4. drops the array declaration, the accessor function, and the rotator.
 
 When the findings carry :class:`DecoderEvidence` (R013/R014), the pass
-additionally runs the interprocedural summary analysis
-(``repro.flows.interproc``) and inlines decoder **calls** — accessors the
-direct path cannot see because the table hides behind a self-memoizing
-function or the entries need an RC4 keystream replay.  The decoded
+additionally reads the state's interprocedural summaries
+(``repro.flows.interproc``, which those rules already computed) and
+inlines decoder **calls** — accessors the direct path cannot see because
+the table hides behind a self-memoizing function or the entries need an
+RC4 keystream replay.  The decoded
 string for ``dec(0x25, 'key')`` comes from
 :func:`repro.flows.values.decode_table_entry` over the summary's
 resolved table; the decoder, its table function, the array, and the
@@ -25,11 +26,14 @@ rotator are dropped once every call site resolved.
 
 from __future__ import annotations
 
-from repro.deob.base import DeobPass, PassContext, PassResult
+from functools import partial
+from typing import Callable
+
+from repro.deob.base import DeobPass, PassContext, PassResult, drop_declarations
 from repro.flows.values import atob_utf8, decode_table_entry
 from repro.js.ast_nodes import Node, clone
 from repro.js.builder import string
-from repro.js.visitor import NodeTransformer, walk
+from repro.js.visitor import walk
 
 
 def _literal_int(node: Node | None) -> int | None:
@@ -96,114 +100,50 @@ class _Plan:
         self.values = values
         self.array = array
 
+    def decode(self, arguments: list[Node]) -> str | None:
+        """The string ``accessor(0x1f)`` reads."""
+        return self.values.get(_literal_int(arguments[0])) if len(arguments) == 1 else None
 
-class _Inliner(NodeTransformer):
-    def __init__(self, plans: dict[str, _Plan], dead_arrays: set[str]):
-        self.plans = plans
-        self.dead_arrays = dead_arrays
-        self.rewrites = 0
-        self.unresolved: set[str] = set()
 
-    def visit_CallExpression(self, node: Node) -> Node | None:
+def _decoded_call(decoder, arguments: list[Node]) -> str | None:
+    """The string a constant-argument call to a summarised decoder (index,
+    base64 or rc4 kind) returns, or None."""
+    if len(arguments) != (2 if decoder.kind == "rc4" else 1):
+        return None
+    key = None
+    if decoder.kind == "rc4":
+        if arguments[1].type != "Literal" or not isinstance(arguments[1].value, str):
+            return None
+        key = arguments[1].value
+    index = _literal_int(arguments[0])
+    if index is None or not 0 <= index - decoder.offset < len(decoder.table):
+        return None
+    return decode_table_entry(decoder.kind, decoder.table[index - decoder.offset], key)
+
+
+def _inline_calls(
+    calls: list[Node], decoders: dict[str, Callable], edits: dict[int, Node | list]
+) -> set[str]:
+    """Edit each call to a name in ``decoders`` into the string its decoder
+    reads off the call's arguments; the names with a call site that did
+    not resolve.  A call or argument an earlier edit rewrote is read as
+    rewritten."""
+    unresolved: set[str] = set()
+    for node in calls:
         callee = node.callee
-        if callee.type != "Identifier" or callee.name not in self.plans:
-            return None
-        plan = self.plans[callee.name]
-        if len(node.arguments) != 1:
-            self.unresolved.add(callee.name)
-            return None
-        index = _literal_int(node.arguments[0])
-        if index is None or index not in plan.values:
-            self.unresolved.add(callee.name)
-            return None
-        self.rewrites += 1
-        return string(plan.values[index])
+        if callee.type != "Identifier" or callee.name not in decoders or id(node) in edits:
+            continue
+        arguments = [edits.get(id(argument), argument) for argument in node.arguments]
+        value = decoders[callee.name](arguments)
+        if value is None:
+            unresolved.add(callee.name)
+        else:
+            edits[id(node)] = string(value)
+    return unresolved
 
 
-class _DecoderInliner(NodeTransformer):
-    """Inline calls to summarised decoders (index/base64/rc4 kinds)."""
-
-    def __init__(self, plans: dict[str, object]):
-        self.plans = plans  #: decoder name → DecoderSummary-like plan
-        self.rewrites = 0
-        self.unresolved: set[str] = set()
-
-    def visit_CallExpression(self, node: Node) -> Node | None:
-        callee = node.callee
-        if callee.type != "Identifier" or callee.name not in self.plans:
-            return None
-        decoder = self.plans[callee.name]
-        arguments = node.get("arguments") or []
-        index = _literal_int(arguments[0]) if arguments else None
-        key = None
-        if decoder.kind == "rc4":
-            if (
-                len(arguments) != 2
-                or arguments[1].type != "Literal"
-                or not isinstance(arguments[1].value, str)
-            ):
-                self.unresolved.add(callee.name)
-                return None
-            key = arguments[1].value
-        elif len(arguments) != 1:
-            self.unresolved.add(callee.name)
-            return None
-        if index is None:
-            self.unresolved.add(callee.name)
-            return None
-        position = index - decoder.offset
-        if not 0 <= position < len(decoder.table):
-            self.unresolved.add(callee.name)
-            return None
-
-        decoded = decode_table_entry(decoder.kind, decoder.table[position], key)
-        if decoded is None:
-            self.unresolved.add(callee.name)
-            return None
-        self.rewrites += 1
-        return string(decoded)
-
-
-class _DeclDropper(NodeTransformer):
-    """Remove the array/accessor declarations and rotator statements."""
-
-    def __init__(self, arrays: set[str], accessors: set[str]):
-        self.arrays = arrays
-        self.accessors = accessors
-        self.removed = 0
-
-    def visit_FunctionDeclaration(self, node: Node) -> object | None:
-        identifier = node.get("id")
-        if identifier is not None and identifier.name in self.accessors:
-            self.removed += 1
-            return NodeTransformer.REMOVE
-        return None
-
-    def visit_VariableDeclaration(self, node: Node) -> object | None:
-        kept = [
-            declarator
-            for declarator in node.declarations
-            if not (
-                declarator.id.type == "Identifier"
-                and declarator.id.name in self.arrays
-                and declarator.get("init") is not None
-                and declarator.init.type == "ArrayExpression"
-            )
-        ]
-        if len(kept) == len(node.declarations):
-            return None
-        self.removed += len(node.declarations) - len(kept)
-        if not kept:
-            return NodeTransformer.REMOVE
-        node.declarations = kept
-        return None
-
-    def visit_ExpressionStatement(self, node: Node) -> object | None:
-        for array_name in self.arrays:
-            if _rotation_amount(node, array_name) is not None:
-                self.removed += 1
-                return NodeTransformer.REMOVE
-        return None
+def _is_array(init: Node | None) -> bool:
+    return init is not None and init.type == "ArrayExpression"
 
 
 class StringArrayInlinePass(DeobPass):
@@ -249,69 +189,63 @@ class StringArrayInlinePass(DeobPass):
         if not plans and not decoder_names:
             return PassResult(program)
 
-        work = clone(program)
-        rewrites = 0
-        if plans:
-            inliner = _Inliner(plans, {plan.array for plan in plans.values()})
-            work = inliner.transform(work)
-            if inliner.rewrites:
-                rewrites += inliner.rewrites
-                # Only drop machinery whose every call site was resolved.
-                resolved = {
-                    name: plan
-                    for name, plan in plans.items()
-                    if name not in inliner.unresolved
-                }
-                dropper = _DeclDropper(
-                    arrays={plan.array for plan in resolved.values()},
-                    accessors=set(resolved),
-                )
-                work = dropper.transform(work)
-                rewrites += dropper.removed
-        if decoder_names:
-            work, decoder_rewrites = self._inline_decoder_calls(work, decoder_names)
-            rewrites += decoder_rewrites
-        if rewrites == 0:
-            return PassResult(program)
-        return PassResult(work, rewrites)
-
-    @staticmethod
-    def _inline_decoder_calls(
-        work: Node, decoder_names: set[str]
-    ) -> tuple[Node, int]:
-        """Summary-driven path: replay evidenced decoders over their tables.
-
-        Re-derives the summaries on the working clone (the evidence only
-        carries names — the resolved tables live in the interprocedural
-        analysis), inlines every constant-argument call, and drops the
-        decoder, its table function, the array, and the rotator once all
-        call sites resolved.  A degraded (budget-capped) analysis yields
-        no summaries and the clone is returned unchanged.
-        """
-        from repro.flows.interproc import analyze_program
-
-        result = analyze_program(work)
-        plans = {
-            summary.name: summary.decoder
-            for summary in result.decoders
-            if summary.name in decoder_names
-        }
-        if not plans:
-            return work, 0
-        inliner = _DecoderInliner(plans)
-        work = inliner.transform(work)
-        if inliner.rewrites == 0:
-            return work, 0
+        calls = ctx.nodes(program, "CallExpression")
+        edits: dict[int, Node | list] = {}
+        # Only drop machinery whose every call site was resolved.
         dead_functions: set[str] = set()
         dead_arrays: set[str] = set()
-        for name, decoder in plans.items():
-            if name in inliner.unresolved:
-                continue
-            dead_functions.update(decoder.chain[:-1])
-            dead_arrays.add(decoder.chain[-1])
-        dropper = _DeclDropper(arrays=dead_arrays, accessors=dead_functions)
-        work = dropper.transform(work)
-        return work, inliner.rewrites + dropper.removed
+        if plans:
+            unresolved = _inline_calls(
+                calls, {name: plan.decode for name, plan in plans.items()}, edits
+            )
+            if edits:
+                resolved = [plan for name, plan in plans.items() if name not in unresolved]
+                dead_functions.update(plan.accessor for plan in resolved)
+                dead_arrays.update(plan.array for plan in resolved)
+        inlined = len(edits)
+        decoders = self._decoder_plans(program, ctx, decoder_names) if decoder_names else {}
+        if decoders:
+            unresolved = _inline_calls(
+                calls,
+                {name: partial(_decoded_call, decoder) for name, decoder in decoders.items()},
+                edits,
+            )
+            if len(edits) > inlined:
+                for name, decoder in decoders.items():
+                    if name not in unresolved:
+                        dead_functions.update(decoder.chain[:-1])
+                        dead_arrays.add(decoder.chain[-1])
+        if not edits:
+            return PassResult(program)
+        rewrites = len(edits)
+        rewrites += drop_declarations(
+            ctx.nodes(program, "FunctionDeclaration", "VariableDeclaration"),
+            dead_functions,
+            dead_arrays,
+            edits,
+            _is_array,
+        )
+        for statement in ctx.nodes(program, "ExpressionStatement"):
+            if any(_rotation_amount(statement, array) is not None for array in dead_arrays):
+                edits[id(statement)] = []
+                rewrites += 1
+        return PassResult(clone(program, edits), rewrites)
+
+    @staticmethod
+    def _decoder_plans(
+        program: Node, ctx: PassContext, decoder_names: set[str]
+    ) -> dict[str, object]:
+        """Evidenced decoders by name, with their resolved tables.
+
+        The evidence only carries names; the tables live in the
+        interprocedural summaries.  A degraded (budget-capped) analysis
+        has no summaries, so nothing is inlined.
+        """
+        return {
+            summary.name: summary.decoder
+            for summary in ctx.interproc(program).decoders
+            if summary.name in decoder_names
+        }
 
     @staticmethod
     def _find_rotation(program: Node, array_name: str) -> int:

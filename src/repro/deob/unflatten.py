@@ -118,30 +118,30 @@ def _state_used_elsewhere(
     return False
 
 
-def _unflatten_list(statements: list[Node], ctx: PassContext) -> tuple[list[Node], int]:
-    out: list[Node] = []
+def _unflatten_list(statements: list[Node], ctx: PassContext, edits: dict[int, list]) -> int:
+    """Edit each replayable dispatcher pair of one statement list into its
+    cases in execution order; the number of statements rewritten."""
     rewrites = 0
     index = 0
-    while index < len(statements):
-        statement = statements[index]
-        if index + 1 < len(statements):
-            matched = _match_dispatcher(statement, statements[index + 1])
-            if matched is not None:
-                order_name, local_order, switch = matched
-                # Prefer the rules engine's recovered order; fall back to
-                # the order parsed from the local declaration.
-                order = ctx.dispatcher_order(order_name) or local_order
-                replayed = _case_statements(switch, order)
-                if replayed is not None and not _state_used_elsewhere(
-                    statements, statement, statements[index + 1], {order_name}
-                ):
-                    out.extend(replayed)
-                    rewrites += 1 + len(replayed)
-                    index += 2
-                    continue
-        out.append(statement)
+    while index + 1 < len(statements):
+        statement, loop = statements[index], statements[index + 1]
+        matched = _match_dispatcher(statement, loop)
+        if matched is not None:
+            order_name, local_order, switch = matched
+            # Prefer the rules engine's recovered order; fall back to
+            # the order parsed from the local declaration.
+            order = ctx.dispatcher_order(order_name) or local_order
+            replayed = _case_statements(switch, order)
+            if replayed is not None and not _state_used_elsewhere(
+                statements, statement, loop, {order_name}
+            ):
+                edits[id(statement)] = replayed
+                edits[id(loop)] = []
+                rewrites += 1 + len(replayed)
+                index += 2
+                continue
         index += 1
-    return out, rewrites
+    return rewrites
 
 
 class UnflattenPass(DeobPass):
@@ -151,17 +151,14 @@ class UnflattenPass(DeobPass):
     def rewrite(self, program: Node, ctx: PassContext) -> PassResult:
         if not any(_is_dispatcher_loop(loop) for loop in ctx.nodes(program, "WhileStatement")):
             return PassResult(program)
-        work = clone(program)
-        rewrites = 0
-        for node in walk(work):
-            if node.type == "Program" or node.type == "BlockStatement":
-                body, count = _unflatten_list(node.body, ctx)
-                if count:
-                    node.body = body
-                    rewrites += count
-        if rewrites == 0:
+        edits: dict[int, list] = {}
+        rewrites = sum(
+            _unflatten_list(block.body, ctx, edits)
+            for block in ctx.nodes(program, "Program", "BlockStatement")
+        )
+        if not edits:
             return PassResult(program)
-        return PassResult(work, rewrites)
+        return PassResult(clone(program, edits), rewrites)
 
 
 def _is_dispatcher_loop(loop: Node) -> bool:

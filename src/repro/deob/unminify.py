@@ -13,7 +13,6 @@ from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
 from repro.js.builder import expr_statement, identifier, literal
 from repro.js.semantics import is_number, literal_value
-from repro.js.visitor import NodeTransformer
 
 
 def _is_void_zero(node: Node) -> bool:
@@ -33,47 +32,6 @@ def _bang_literal(node: Node) -> bool | None:
     return value == 0 if is_number(value) and value in (0, 1) else None
 
 
-class _Expander(NodeTransformer):
-    def __init__(self) -> None:
-        self.rewrites = 0
-
-    def visit_UnaryExpression(self, node: Node) -> Node | None:
-        bang = _bang_literal(node)
-        if bang is not None:
-            self.rewrites += 1
-            return literal(bang, raw="true" if bang else "false")
-        if _is_void_zero(node):
-            self.rewrites += 1
-            return identifier("undefined")
-        return None
-
-    def _split_sequences(self, body: list[Node]) -> list[Node]:
-        # Only statement-list positions can absorb the extra statements —
-        # an `if (x) (a, b);` consequent stays a single statement.
-        out: list[Node] = []
-        for statement in body:
-            if (
-                statement.type == "ExpressionStatement"
-                and statement.expression.type == "SequenceExpression"
-            ):
-                self.rewrites += 1
-                out.extend(
-                    expr_statement(expression)
-                    for expression in statement.expression.expressions
-                )
-            else:
-                out.append(statement)
-        return out
-
-    def visit_BlockStatement(self, node: Node) -> Node | None:
-        node.body = self._split_sequences(node.body)
-        return None
-
-    def visit_Program(self, node: Node) -> Node | None:
-        node.body = self._split_sequences(node.body)
-        return None
-
-
 def _would_expand(program: Node, ctx: PassContext) -> bool:
     return any(
         _bang_literal(node) is not None or _is_void_zero(node)
@@ -91,8 +49,25 @@ class UnminifyPass(DeobPass):
     def rewrite(self, program: Node, ctx: PassContext) -> PassResult:
         if not _would_expand(program, ctx):
             return PassResult(program)
-        expander = _Expander()
-        work = expander.transform(clone(program))
-        if expander.rewrites == 0:
+        edits: dict[int, Node | list[Node]] = {}
+        for node in ctx.nodes(program, "UnaryExpression"):
+            bang = _bang_literal(node)
+            if bang is not None:
+                edits[id(node)] = literal(bang, raw="true" if bang else "false")
+            elif _is_void_zero(node):
+                edits[id(node)] = identifier("undefined")
+        # Only statement lists can absorb the extra statements: an
+        # `if (x) (a, b);` consequent stays a single statement.
+        for block in ctx.nodes(program, "Program", "BlockStatement"):
+            for statement in block.body:
+                if (
+                    statement.type == "ExpressionStatement"
+                    and statement.expression.type == "SequenceExpression"
+                ):
+                    edits[id(statement)] = [
+                        expr_statement(expression)
+                        for expression in statement.expression.expressions
+                    ]
+        if not edits:
             return PassResult(program)
-        return PassResult(work, expander.rewrites)
+        return PassResult(clone(program, edits), len(edits))

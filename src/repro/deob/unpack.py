@@ -19,7 +19,6 @@ import re
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
 from repro.js.parser import parse
-from repro.js.visitor import NodeTransformer
 
 _BASE62 = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _TOKEN_RE = re.compile(r"\b\w+\b")
@@ -97,29 +96,6 @@ def _decoded_eval_source(call: Node) -> str | None:
     return None
 
 
-class _Unwrapper(NodeTransformer):
-    def __init__(self, allowance: int):
-        self.allowance = allowance
-        self.unwraps = 0
-        self.rewrites = 0
-        self.failures = 0
-
-    def visit_ExpressionStatement(self, node: Node) -> Node | list | None:
-        if self.unwraps >= self.allowance:
-            return None
-        source = _decoded_eval_source(node.expression)
-        if source is None:
-            return None
-        try:
-            program = parse(source)
-        except Exception:
-            self.failures += 1
-            return None
-        self.unwraps += 1
-        self.rewrites += 1 + len(program.body)
-        return list(program.body)
-
-
 class EvalUnwrapPass(DeobPass):
     name = "eval-unwrap"
     techniques = ("minification_simple",)
@@ -128,16 +104,26 @@ class EvalUnwrapPass(DeobPass):
         allowance = ctx.budget.max_eval_depth - ctx.eval_unwraps
         if allowance <= 0:
             return PassResult(program)
-        if not any(
-            _decoded_eval_source(statement.expression) is not None
-            for statement in ctx.nodes(program, "ExpressionStatement")
-        ):
-            return PassResult(program)
-        unwrapper = _Unwrapper(allowance)
-        work = unwrapper.transform(clone(program))
-        if unwrapper.failures and not unwrapper.unwraps:
+        edits: dict[int, list[Node]] = {}
+        rewrites = failures = 0
+        # The typed list reversed is document order, inner statements
+        # before the statements that hold them.
+        for statement in reversed(ctx.nodes(program, "ExpressionStatement")):
+            if len(edits) >= allowance:
+                break
+            source = _decoded_eval_source(statement.expression)
+            if source is None:
+                continue
+            try:
+                body = parse(source).body
+            except Exception:
+                failures += 1
+                continue
+            edits[id(statement)] = body
+            rewrites += 1 + len(body)
+        if failures and not edits:
             ctx.notes.append("eval-unwrap: payload did not re-parse; left in place")
-        if unwrapper.unwraps == 0:
+        if not edits:
             return PassResult(program)
-        ctx.eval_unwraps += unwrapper.unwraps
-        return PassResult(work, unwrapper.rewrites)
+        ctx.eval_unwraps += len(edits)
+        return PassResult(clone(program, edits), rewrites)

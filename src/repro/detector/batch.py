@@ -478,13 +478,17 @@ class BatchInferenceEngine:
                 len(outcome.report.techniques_removed) for outcome in deob_results
             )
             stats.deob_time = time.perf_counter() - t_deob
-            # A work-budget trip is an explicit error, never a verdict on
-            # the input the run gave up on.
+            # A work-budget trip or an internal fault is an explicit error,
+            # never a verdict on the input the run gave up on.
             for index, outcome in enumerate(deob_results):
-                if outcome.report.bailed == "work-budget":
-                    results[index] = DetectionResult(
-                        level1=set(), transformed=False, error=DEOB_WORK_BUDGET
+                bailed = outcome.report.bailed
+                if bailed in ("work-budget", "internal"):
+                    error = (
+                        DEOB_WORK_BUDGET
+                        if bailed == "work-budget"
+                        else DetectionError("internal", outcome.report.error)
                     )
+                    results[index] = DetectionResult(level1=set(), transformed=False, error=error)
 
         if self.triage != "off":
             t_rules = time.perf_counter()

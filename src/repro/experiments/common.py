@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pickle
-import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -186,8 +185,3 @@ def measure_corpus(
         container_rate=container_rate,
         n_errors=features.stats.errors,
     )
-
-
-def fresh_rng(seed: int) -> random.Random:
-    """Decorrelated RNG for experiment-local sampling."""
-    return random.Random(seed ^ 0x5EED)

@@ -48,7 +48,7 @@ from repro.flows.values import (
 )
 from repro.js.ast_nodes import Node, iter_child_nodes
 from repro.js.scope import FUNCTION_TYPES, analyze_scopes
-from repro.js.semantics import from_char_code, is_number
+from repro.js.semantics import MISS, from_char_code, is_number, literal_value
 
 __all__ = [
     "InterprocBudget",
@@ -369,7 +369,7 @@ def _module_env(program: Node, ticker: _Ticker) -> dict[int, object]:
             values = _array_of_strings(init)
             if values is not None:
                 env[key] = StringTable(values, origin=(identifier.name,))
-            elif init.type == "Literal":
+            elif init.type == "Literal" and literal_value(init) is not MISS:
                 env[key] = Const(init.value)
             elif init.type == "Identifier" and init.get("binding") is not None:
                 aliased = env.get(id(init.binding))
@@ -436,7 +436,8 @@ class _Evaluator:
         self.ticker.tick()
         node_type = node.type
         if node_type == "Literal":
-            return Const(node.value)
+            value = literal_value(node)  # a regex or a BigInt is not a Const
+            return UNKNOWN if value is MISS else Const(value)
         if node_type == "Identifier":
             binding = node.get("binding")
             if binding is None:

@@ -356,49 +356,96 @@ def from_dict(data: Any) -> Any:
     return data
 
 
-def clone(node: Any, replacements: dict[int, list[Node]] | None = None) -> Any:
-    """Deep-copy an AST subtree (drops parent/flow annotations).
+#: Single-node slots an empty replacement list clears instead of
+#: leaving ``{}``: the statement there is optional.
+_OPTIONAL_SLOTS = frozenset({("IfStatement", "alternate"), ("ForStatement", "init")})
 
-    ``replacements`` maps ``id(statement)`` to the statements that take
-    its place in the copy: spliced in within a statement list, wrapped in
-    a ``BlockStatement`` in a single-statement slot (``if (c) <stmt>``).
-    A replaced statement is not copied, and its replacements go in as
-    they are.
+
+def clone(node: Any, edits: dict[int, Node | list[Node]] | None = None) -> Any:
+    """Deep-copy an AST subtree (drops parent/flow annotations), applying
+    ``edits``.
+
+    ``edits`` maps ``id(node)`` of a node in the tree to what takes its
+    place in the copy:
+
+    - a node;
+    - a list of nodes, spliced into a list position and wrapped in a
+      ``BlockStatement`` in a single-node slot (``if (c) <stmt>``);
+    - an empty list, which removes the node from a list position, leaves
+      ``{}`` in a slot that needs a statement, and clears an optional one
+      (an ``else``, a ``for`` initializer).
+
+    An edited node is not copied.  Its replacements are, through the same
+    edits, so edits nested inside a kept part compose: with the outer
+    ``if (true)`` mapped to its consequent and the inner ``if (false)``
+    to ``[]``, ``if (true) { if (false) x(); }`` copies to ``{}``.  A
+    replacement must not contain the node it replaces.
     """
-    if isinstance(node, Node):
-        if replacements and id(node) in replacements:
-            return Node("BlockStatement", body=list(replacements[id(node)]))
-        fields: dict[str, Any] = {}
-        schema_fields = node._fields
-        if schema_fields is None:
-            for key, value in node.__dict__.items():
-                if key == "type" or key in _SERIALIZE_EXCLUDED_SET:
-                    continue
-                fields[key] = clone(value, replacements)
-            return Node(node.type, **fields)
-        for key in schema_fields:
-            value = getattr(node, key, _MISSING)
-            if value is not _MISSING:
-                fields[key] = clone(value, replacements)
-        for key in _SERIALIZE_KEPT_ANALYSIS:
-            value = getattr(node, key, _MISSING)
-            if value is not _MISSING:
-                fields[key] = value
-        overflow = node.__dict__
-        if overflow:
-            for key, value in overflow.items():
-                if key in _SERIALIZE_EXCLUDED_SET:
-                    continue
-                fields[key] = clone(value, replacements)
-        return Node(node.type, **fields)
-    if isinstance(node, list):
-        if not replacements:
-            return [clone(item) for item in node]
-        out: list = []
-        for item in node:
-            if id(item) in replacements:
-                out.extend(replacements[id(item)])
-            else:
-                out.append(clone(item, replacements))
-        return out
-    return node
+    return _copy_value(None, None, node, edits)
+
+
+def _copy(node: Node, edits: dict | None) -> Node:
+    node_type = node.type
+    fields: dict[str, Any] = {}
+    schema_fields = node._fields
+    if schema_fields is None:
+        for key, value in node.__dict__.items():
+            if key == "type" or key in _SERIALIZE_EXCLUDED_SET:
+                continue
+            fields[key] = _copy_value(node_type, key, value, edits)
+        return Node(node_type, **fields)
+    child_fields = node._child_fields
+    for key in schema_fields:
+        value = getattr(node, key, _MISSING)
+        if value is not _MISSING:
+            fields[key] = (
+                _copy_value(node_type, key, value, edits) if key in child_fields else value
+            )
+    for key in _SERIALIZE_KEPT_ANALYSIS:
+        value = getattr(node, key, _MISSING)
+        if value is not _MISSING:
+            fields[key] = value
+    overflow = node.__dict__
+    if overflow:
+        for key, value in overflow.items():
+            if key in _SERIALIZE_EXCLUDED_SET:
+                continue
+            fields[key] = _copy_value(node_type, key, value, edits)
+    return Node(node_type, **fields)
+
+
+def _copy_value(parent_type: str | None, key: str | None, value: Any, edits: dict | None) -> Any:
+    if isinstance(value, Node):
+        if edits and id(value) in edits:
+            return _slot(parent_type, key, value, edits)
+        return _copy(value, edits)
+    if value.__class__ is list:
+        return _copy_list(value, edits)
+    return value
+
+
+def _slot(parent_type: str | None, key: str | None, node: Node, edits: dict) -> Node | None:
+    """What an edited ``node`` becomes in a single-node slot."""
+    replacement = edits[id(node)]
+    if isinstance(replacement, Node):
+        return _copy_value(parent_type, key, replacement, edits)
+    body = _copy_list(replacement, edits)
+    if not body and (parent_type, key) in _OPTIONAL_SLOTS:
+        return None
+    return Node("BlockStatement", body=body)
+
+
+def _copy_list(items: list, edits: dict | None) -> list:
+    if not edits:
+        return [_copy_value(None, None, item, None) for item in items]
+    out: list = []
+    for item in items:
+        replacement = edits.get(id(item), _MISSING)
+        while isinstance(replacement, Node):
+            item = replacement
+            replacement = edits.get(id(item), _MISSING)
+        if replacement is _MISSING:
+            out.append(_copy_value(None, None, item, edits))
+        else:
+            out.extend(_copy_list(replacement, edits))
+    return out

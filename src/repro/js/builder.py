@@ -134,12 +134,6 @@ def function_decl(name: str, params: list[str] | list[Node], body: list[Node]) -
     )
 
 
-def iife(body: list[Node], params: list[str] | None = None, args: list[Node] | None = None) -> Node:
-    """``(function (params) { body })(args);`` as an ExpressionStatement."""
-    fn = function_expr(params or [], body)
-    return expr_statement(call(fn, args or []))
-
-
 def ret(argument: Node | None = None) -> Node:
     return _node("ReturnStatement", argument=argument)
 

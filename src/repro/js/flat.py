@@ -39,11 +39,6 @@ class _InternTable(dict):
 _RUNTIME_TYPE_IDS = _InternTable(TYPE_IDS)
 
 
-def intern_type_id(type_name: str) -> int:
-    """Dense integer id for a node type (stable within the process)."""
-    return _RUNTIME_TYPE_IDS[type_name]
-
-
 class FlatIndex:
     """Parallel pre-order arrays over one parsed program.
 

@@ -77,6 +77,61 @@ def to_boolean(value) -> bool:
     return value if type(value) is bool else True
 
 
+def static_truth(node) -> bool | None:
+    """The truth value of a test expression its literals decide, or
+    ``None`` when unsure.
+
+    Covers ToBoolean of a literal (a regex is an object, so true; a
+    BigInt is true unless zero) and of :func:`literal_value`'s ``-``/``!``
+    forms, ``!`` of a decided test, and ``===``/``!==`` (IsStrictlyEqual,
+    §7.2.15) and ``==``/``!=`` (IsLooselyEqual, §7.2.14) over two
+    primitive literals.
+    """
+    node_type = node.type
+    if node_type == "Literal":
+        if node.get("regex") is not None:
+            return True
+        raw = node.get("raw")
+        if type(node.value) is int and raw and raw[-1] == "n":
+            # The parser gives every BigInt 0: read its digits instead.
+            digits = raw[2:-1] if raw[:2].lower() in ("0x", "0o", "0b") else raw[:-1]
+            return digits.strip("0_") != ""
+    elif node_type == "UnaryExpression" and node.operator == "!":
+        inner = static_truth(node.argument)
+        return None if inner is None else not inner
+    elif node_type == "BinaryExpression" and node.operator in ("===", "!==", "==", "!="):
+        left, right = literal_value(node.left), literal_value(node.right)
+        if left is MISS or right is MISS:
+            return None
+        strict = node.operator in ("===", "!==")
+        equal = _strictly_equal(left, right) if strict else _loosely_equal(left, right)
+        return equal if node.operator in ("===", "==") else not equal
+    value = literal_value(node)
+    return None if value is MISS else to_boolean(value)
+
+
+def _strictly_equal(x, y) -> bool:
+    """IsStrictlyEqual (§7.2.15) of two primitives: NaN is unequal to
+    itself, and +0 equals -0."""
+    if is_number(x) and is_number(y):
+        return x == y
+    return type(x) is type(y) and x == y
+
+
+def _loosely_equal(x, y) -> bool:
+    """IsLooselyEqual (§7.2.14) of two primitives."""
+    if (is_number(x) and is_number(y)) or type(x) is type(y):
+        return _strictly_equal(x, y)
+    nullish = (x is None or x is UNDEFINED, y is None or y is UNDEFINED)
+    if any(nullish):
+        return all(nullish)
+    if type(x) is bool or type(x) is str:
+        x = to_number(x)
+    if type(y) is bool or type(y) is str:
+        y = to_number(y)
+    return x == y
+
+
 #: StrWhiteSpaceChar: WhiteSpace and LineTerminator.
 _WHITESPACE = (
     "\t\n\v\f\r \u00a0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"

@@ -3,13 +3,16 @@
 - :func:`walk` -- pre-order generator over all nodes,
 - :func:`walk_with_parents` -- same, but also yields the parent,
 - :func:`attach_parents` -- store a ``parent`` attribute on every node,
-- :class:`NodeTransformer` -- bottom-up rewriting (return a replacement node,
-  a list of nodes for statement positions, or ``None`` to keep).
+- :class:`NodeTransformer` -- bottom-up in-place rewriting (return a
+  replacement node, a list of nodes for statement positions, or ``None``
+  to keep).  It rewrites a tree its caller owns (the advanced minifier's
+  fresh parse); deob passes never mutate, and rewrite through
+  :func:`~repro.js.ast_nodes.clone`'s edits instead.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.js.ast_nodes import Node, iter_child_nodes, iter_fields
 
@@ -106,25 +109,3 @@ class NodeTransformer:
             return node
         return result
 
-
-def map_nodes(root: Node, fn: Callable[[Node], Node | None]) -> Node:
-    """Apply ``fn`` bottom-up to every node; ``None`` keeps the node."""
-
-    class _Mapper(NodeTransformer):
-        def _transform_node(self, node: Node) -> Node | list | object:
-            for field, value in list(iter_fields(node)):
-                if isinstance(value, Node):
-                    setattr(node, field, self._transform_node(value))
-                elif isinstance(value, list):
-                    setattr(
-                        node,
-                        field,
-                        [
-                            self._transform_node(item) if isinstance(item, Node) else item
-                            for item in value
-                        ],
-                    )
-            replacement = fn(node)
-            return node if replacement is None else replacement
-
-    return _Mapper().transform(root)

@@ -20,7 +20,7 @@ from repro.js.ast_nodes import Node, iter_child_nodes
 from repro.js.flat import FlatIndex, build_flat_index
 from repro.js.parser import Parser
 from repro.js.scope import analyze_scopes
-from repro.js.semantics import MISS, literal_value, to_boolean
+from repro.js.semantics import MISS, literal_value, static_truth
 from repro.js.tokens import Token, TokenType
 
 
@@ -263,36 +263,19 @@ def is_constant_false(test: Node) -> bool:
     code contains nonsense like ``if ("submit" > 3.41)``, and JavaScript
     coercion semantics make those unsafe to fold statically.
     """
-    if test.type == "Literal":
-        value = literal_value(test)
-        return value is not MISS and not to_boolean(value)
     if test.type == "BinaryExpression":
         left, right = literal_value(test.left), literal_value(test.right)
-        if left is MISS or right is MISS:
+        if left is MISS or type(left) is not type(right):
             return False
-        if type(left) is not type(right):
-            return False
-        op = test.operator
-        if op in ("===", "=="):
-            return not (left == right)
-        if op in ("!==", "!="):
-            return not (left != right)
-    return False
+    elif test.type != "Literal":
+        return False
+    return static_truth(test) is False
 
 
 def is_truthy_literal(test: Node | None) -> bool:
-    """True for an always-true loop test: a truthy literal or ``!`` of a
-    falsy one."""
-    if test is None:
-        return False
-    if test.type == "Literal":
-        return bool(test.value)
-    return (
-        test.type == "UnaryExpression"
-        and test.operator == "!"
-        and test.argument.type == "Literal"
-        and not test.argument.value
-    )
+    """True for an always-true loop test (``while (true)``, ``while (!0)``,
+    ``while (/x/)``)."""
+    return test is not None and static_truth(test) is True
 
 
 def walk_subtree(node: Node):

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tarfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -332,13 +332,3 @@ def iter_ingest(roots: list[str | Path], max_bytes: int = MAX_BYTES) -> Iterator
                 "error",
                 IngestError(str(path), "missing", "no such file or directory"),
             )
-
-
-@dataclass
-class IngestSummary:
-    """Counters for one fully-drained ingestion stream (tests/CLI)."""
-
-    units: int = 0
-    externals: int = 0
-    errors: int = 0
-    by_kind: dict[str, int] = field(default_factory=dict)

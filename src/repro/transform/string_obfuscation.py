@@ -35,27 +35,31 @@ def _split_concat(value: str, rng: random.Random) -> Node:
     return node
 
 
+def _code_units(value: str) -> list[int]:
+    """``value``'s UTF-16 code units, as a JavaScript string holds it (a
+    character past U+FFFF is a surrogate pair)."""
+    data = value.encode("utf-16-le", "surrogatepass")
+    return [int.from_bytes(data[i : i + 2], "little") for i in range(0, len(data), 2)]
+
+
 def _hex_escape(value: str) -> Node:
-    """Encode every character as ``\\xNN`` / ``\\uNNNN`` escapes."""
-    encoded = []
-    for char in value:
-        code = ord(char)
-        if code <= 0xFF:
-            encoded.append(f"\\x{code:02x}")
-        else:
-            encoded.append(f"\\u{code:04x}")
+    """Encode every code unit as a ``\\xNN`` / ``\\uNNNN`` escape."""
+    encoded = [
+        f"\\x{unit:02x}" if unit <= 0xFF else f"\\u{unit:04x}" for unit in _code_units(value)
+    ]
     raw = '"' + "".join(encoded) + '"'
     return literal(value, raw=raw)
 
 
 def _from_char_code(value: str) -> Node:
-    """``String.fromCharCode(97, 98, …)``."""
-    args = [literal(ord(char)) for char in value]
+    """``String.fromCharCode(97, 98, …)``, one code unit per argument."""
+    args = [literal(unit) for unit in _code_units(value)]
     return call(member("String", "fromCharCode"), args)
 
 
 def _reverse_join(value: str) -> Node:
-    """``"fedcba".split("").reverse().join("")`` (gnirts-style)."""
+    """``"fedcba".split("").reverse().join("")`` (gnirts-style); only for
+    strings within the Basic Multilingual Plane."""
     reversed_literal = string(value[::-1])
     split_call = call(member(reversed_literal, "split"), [string("")])
     reverse_call = call(member(split_call, "reverse"), [])
@@ -88,7 +92,16 @@ def obfuscate_string_literals(
             continue
         if rng.random() > probability:
             continue
-        method = rng.choice(methods)
+        # JavaScript's split("") reverses UTF-16 units, which would break
+        # a surrogate pair apart: no reversal past U+FFFF.
+        choices = (
+            methods
+            if max(node.value, default="") <= "\uffff"
+            else tuple(method for method in methods if method is not _reverse_join)
+        )
+        if not choices:
+            continue
+        method = rng.choice(choices)
         if method is _split_concat:
             replacement = method(node.value, rng)
         elif method is _hex_escape or method is _from_char_code or method is _reverse_join:

@@ -9,7 +9,6 @@ from repro.js.visitor import (
     attach_parents,
     count_nodes,
     find_all,
-    map_nodes,
     walk,
     walk_with_parents,
 )
@@ -64,6 +63,79 @@ class TestSerialization:
     def test_clone_equals_original(self):
         program = parse("f(a, b); g();")
         assert clone(program) == program
+
+
+def _edited(source: str, edit) -> str:
+    """``source`` regenerated from ``clone(program, edit(program))``."""
+    from repro.js.codegen import generate
+
+    program = parse(source)
+    snapshot = to_dict(program)
+    out = generate(clone(program, edit(program)), compact=True)
+    assert to_dict(program) == snapshot  # the input is never touched
+    return out
+
+
+class TestCloneEdits:
+    def test_node_replacement_in_any_position(self):
+        def edit(program):
+            call = program.body[0].expression
+            return {id(call.arguments[1]): Node("Literal", value=2, raw="2")}
+
+        assert _edited("f(a, b);", edit) == "f(a,2);"
+
+    def test_list_splices_and_empty_list_removes(self):
+        def edit(program):
+            first, second, third = program.body
+            return {id(first): [third, third], id(second): []}
+
+        assert _edited("a(); b(); c();", edit) == "c();c();c();"
+
+    def test_list_in_single_slot_becomes_a_block(self):
+        def edit(program):
+            consequent = program.body[0].consequent
+            return {id(consequent): [program.body[1]]}
+
+        assert _edited("if (a) x(); y();", edit) == "if(a){y();}y();"
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("if (a) x();", "if(a){}"),
+            ("while (a) x();", "while(a){}"),
+            ("l: x();", "l:{}"),
+            ("if (a) b(); else x();", "if(a)b();"),
+        ],
+    )
+    def test_empty_list_in_single_slot(self, source, expected):
+        """``{}`` where a statement is required; an optional slot clears."""
+
+        def edit(program):
+            return {
+                id(node): [] for node in find_all(program, "ExpressionStatement")
+                if node.expression.callee.name == "x"
+            }
+
+        assert _edited(source, edit) == expected
+
+    def test_nested_edits_compose(self):
+        """A replacement from the input is copied through the same edits."""
+
+        def edit(program):
+            outer = program.body[0]
+            inner = outer.consequent.body[0]
+            return {id(outer): outer.consequent, id(inner): []}
+
+        assert _edited("if (true) { if (false) x(); y(); }", edit) == "{y();}"
+
+    def test_fresh_replacement_holding_input_nodes(self):
+        def edit(program):
+            call = program.body[0].expression
+            fresh = Node("ExpressionStatement", expression=call.arguments[0])
+            renamed = Node("Identifier", name="z")
+            return {id(program.body[0]): [fresh], id(call.arguments[0].left): renamed}
+
+        assert _edited("f(a + b);", edit) == "z+b;"
 
 
 class TestTraversal:
@@ -158,15 +230,3 @@ class TestNodeTransformer:
 
         with pytest.raises(ValueError):
             Nuke().transform(parse("x;"))
-
-    def test_map_nodes(self):
-        program = parse("var value = 1 + 2;")
-
-        def bump(node):
-            if node.type == "Literal" and node.value == 1:
-                return Node("Literal", value=10, raw=None, start=0, end=0)
-            return None
-
-        result = map_nodes(program, bump)
-        literals = sorted(n.value for n in find_all(result, "Literal"))
-        assert literals == [2, 10]

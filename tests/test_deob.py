@@ -319,6 +319,124 @@ class TestRecursionPolicy:
         assert log.after_raise() == []
 
 
+class _FaultyPass(DeobPass):
+    """A pass with a bug: it raises on any file that mentions ``boom``."""
+
+    name = "faulty"
+
+    def rewrite(self, program, ctx):
+        if "boom" in ctx.source:
+            raise AttributeError("'NoneType' object has no attribute 'type'")
+        return PassResult(program)
+
+
+class TestFailOpen:
+    """Any other exception in a pass or codegen also returns the input."""
+
+    def test_pass_fault_returns_the_input(self):
+        source = "var boom = 1 + 2;\n"
+        result = DeobEngine(passes=[ConstantFoldPass(), _FaultyPass()]).run(source)
+        assert result.source == source
+        assert not result.changed
+        assert result.report.bailed == "internal"
+        assert result.report.error == "AttributeError: 'NoneType' object has no attribute 'type'"
+        assert result.report.passes_applied == []
+
+    def test_one_fault_is_one_internal_error_in_a_serial_batch(
+        self, deob_source, trained_detector
+    ):
+        engine = trained_detector.batch_engine(cache_size=0)
+        assert engine.n_workers == 1
+        engine._deob_engine = DeobEngine(
+            passes=default_passes() + [_FaultyPass()], rules=engine.rules
+        )
+        batch = engine.classify([deob_source, "var boom = 1;\n", FOLDABLE], deob=True)
+        assert len(batch.results) == 3
+        assert batch[0].ok and batch[2].ok
+        assert batch[1].error is not None and batch[1].error.kind == "internal"
+        assert "AttributeError" in batch[1].error.message
+        assert batch[1].deob.source == "var boom = 1;\n"
+        assert batch.stats.errors == 1
+
+
+def _packed(source: str) -> str:
+    from repro.transform.packer import pack
+
+    return pack(source, random.Random(1))
+
+
+#: Valid scripts whose rewrite leaves an empty single-statement slot or
+#: puts a payload's statements in one.
+SINGLE_SLOT_SHAPES = {
+    "if-in-if": "if (a) if (false) x();",
+    "if-in-while": "while (a) if (0) x();",
+    "if-in-label": "label: if (false) x();",
+    "trap-call-in-if": (
+        'function _0xg(){ (function(){})["constructor"]("debugger")(); }\nif (c) _0xg();'
+    ),
+    "packer-in-if": "if (c) " + _packed("var greeting = 'hi'; console.log(greeting + greeting);"),
+}
+
+
+class TestSingleStatementSlots:
+    @pytest.mark.parametrize(
+        "source", SINGLE_SLOT_SHAPES.values(), ids=SINGLE_SLOT_SHAPES.keys()
+    )
+    def test_rewrite_gives_a_normal_form(self, source, engine):
+        result = engine.run(source)
+        assert result.changed
+        assert result.report.bailed is None and result.report.error is None
+        assert generate(parse(result.source)) == result.source
+
+    def test_slots_keep_a_statement(self, engine):
+        assert engine.run("if (a) if (false) x();").source == "if (a) {}\n"
+        # An `else` with nothing left goes.
+        cleared = engine.run("if (a) x(); else if (false) y();").source
+        assert cleared == generate(parse("if (a) x();"))
+        unpacked = engine.run(SINGLE_SLOT_SHAPES["packer-in-if"]).source
+        assert unpacked.startswith("if (c) {\n") and "console.log" in unpacked
+
+    def test_batch_gives_one_result_per_file(self):
+        engine = BatchInferenceEngine(None, triage="only")
+        batch = engine.classify(["var a = 1;", "if (a) if (false) x();"], deob=True)
+        assert len(batch.results) == 2
+        assert all(result.error is None for result in batch.results)
+        assert batch[1].deob.source == "if (a) {}\n"
+
+
+class TestRenameSharedNodes:
+    """The parser shares one identifier node between two slots in `{x}`,
+    `import {x}` and `export {x}`; renaming the binding keeps the other."""
+
+    def test_shorthand_property_keeps_its_key(self, engine):
+        out = engine.run("var _0xabc = 1;\nvar o = {_0xabc};\nf(o);\n").source
+        assert "{_0xabc: var1}" in out
+
+    def test_import_and_export_keep_the_module_facing_name(self, engine):
+        out = engine.run("import {_0xa1} from 'm';\nexport {_0xa1};\n_0xa1();\n").source
+        assert "import {_0xa1 as mod1} from 'm';" in out
+        assert "export {mod1 as _0xa1};" in out
+
+
+class TestAstralStrings:
+    """Each string method's output folds back to the same JS string."""
+
+    SOURCE = 'var s = "hi \U0001f600 there";\n'
+
+    @pytest.mark.parametrize("method", ["split", "hex", "charcode", "reverse"])
+    def test_method_folds_back(self, method, engine):
+        from repro.transform.string_obfuscation import StringObfuscator
+
+        transformed = StringObfuscator(methods=(method,)).transform(
+            self.SOURCE, random.Random(1)
+        )
+        assert "reverse" not in transformed  # JS reverses UTF-16 units
+        value = parse(engine.run(transformed).source).body[0].declarations[0].init.value
+        # As UTF-16, the unit sequence a JavaScript string is.
+        utf16 = "hi \U0001f600 there".encode("utf-16-le")
+        assert value.encode("utf-16-le", "surrogatepass") == utf16
+
+
 class _RecordingRules(RuleEngine):
     """A rule engine that records the source of every ``analyze_source``."""
 

@@ -25,13 +25,14 @@ from repro.js.semantics import (
     has_literal,
     literal_value,
     number_to_string,
+    static_truth,
     to_boolean,
     to_int32,
     to_number,
     to_uint32,
     unescape,
 )
-from repro.rules.context import is_constant_false
+from repro.rules.context import is_constant_false, is_truthy_literal
 from repro.transform.minify_advanced import _Folder
 
 
@@ -268,3 +269,77 @@ def test_fold_binary(operator, left, right, value):
 )
 def test_rules_constant_false_reads_the_shared_literal(test, constant_false):
     assert is_constant_false(parse(f"if ({test}) {{}}").body[0].test) is constant_false
+
+
+def _test_of(source: str):
+    return parse(f"if ({source}) {{}}").body[0].test
+
+
+@pytest.mark.parametrize(
+    "test, truth",
+    [
+        ("'a'", True),
+        ("''", False),
+        ("0.0", False),
+        ("-0", False),
+        ("null", False),
+        ("/x/", True),  # a regex is an object
+        ("1n", True),  # the parser gives every BigInt the value 0
+        ("0n", False),
+        ("0x0n", False),
+        ("0x10n", True),
+        ("!1n", False),
+        ("!!'a'", True),
+        ("1 === true", False),  # IsStrictlyEqual: different types
+        ("1 === 1.0", True),
+        ("'a' !== 'a'", False),
+        ("null === null", True),
+        ("'1' == 1", True),  # IsLooselyEqual: ToNumber('1')
+        ("0 == ''", True),
+        ("1 == true", True),
+        ("'1' == true", True),
+        ("null == 0", False),
+        ("'' != 0", False),
+        ("'b' == 'a'", False),
+        ("a", None),
+        ("1 < 2", None),
+        ("/x/ === /x/", None),  # objects: unsure
+        ("1n == 1", None),
+        ("'a' + 'b' === 'ab'", None),
+    ],
+)
+def test_static_truth(test, truth):
+    assert static_truth(_test_of(test)) is truth
+
+
+@pytest.mark.parametrize(
+    "source, kept, dropped",
+    [
+        ("if (1 === true) {a()} else {b()}", "b()", "a()"),
+        ('if ("1" == 1) {a()} else {b()}', "a()", "b()"),
+        ('if (0 == "") {a()} else {b()}', "a()", "b()"),
+        ("if (1n) {a()} else {b()}", "a()", "b()"),
+    ],
+)
+def test_dead_code_keeps_the_branch_js_runs(source, kept, dropped):
+    result = DeobEngine().run(source)
+    assert kept in result.source and dropped not in result.source
+
+
+@pytest.mark.parametrize("test", ["/x/", "1n", "!0", "true", "'a' === 'a'"])
+def test_always_true_loop_tests(test):
+    assert is_truthy_literal(parse(f"while ({test}) {{}}").body[0].test)
+
+
+@pytest.mark.parametrize("test", ["0n", "0", "x", "1 < 2"])
+def test_not_always_true_loop_tests(test):
+    assert not is_truthy_literal(parse(f"while ({test}) {{}}").body[0].test)
+
+
+@pytest.mark.parametrize("literal", ["/x/", "1n"])
+def test_interproc_reads_no_const_from_regex_or_bigint(literal):
+    from repro.flows.interproc import DEFAULT_BUDGET, _Evaluator, _Ticker
+    from repro.flows.values import UNKNOWN
+
+    evaluator = _Evaluator({}, {}, DEFAULT_BUDGET, _Ticker(DEFAULT_BUDGET))
+    assert evaluator.eval(parse(f"{literal};").body[0].expression, {}, 0) is UNKNOWN
