@@ -97,23 +97,26 @@ if grep -rnE 'b64decode[[:space:]]*\(' src/repro/transform src/repro/deob src/re
   exit 1
 fi
 
-# Deob edit gate: a deob pass builds an edit map read-only and returns
-# clone(program, edits).  NodeTransformer rewrites in place and cannot
+# Edit gate: transformers and deob passes build an edit map read-only and
+# return clone(program, edits), the one way this code base rewrites a
+# tree.  A write into a node (setattr, a reassigned body list, an in-place
+# rewriter class) corrupts any caller still holding the tree, and cannot
 # leave a statement in a single-statement slot (`if (a) if (false) x();`
-# crashed codegen), so it stays with the advanced minifier, which
-# rewrites a fresh parse it owns.
-if grep -rnw 'NodeTransformer' src/repro/deob --include='*.py'; then
-  echo "[lint] src/repro/deob imports or subclasses NodeTransformer (see matches above)" >&2
+# crashed codegen) as clone's edits can.
+if grep -rnE 'setattr\(|\bNodeTransformer\b|\.body[[:space:]]*=[^=]' \
+    src/repro/transform src/repro/deob --include='*.py'; then
+  echo "[lint] in-place AST write in src/repro/transform or src/repro/deob (see matches above)" >&2
   echo "[lint] compute edits and return clone(program, edits) instead" >&2
   exit 1
 fi
 
-# Deob purity gate: deobfuscation passes must never mutate the AST they
-# are handed — they scan read-only and return clone(program, edits).  A
-# pass that edits in place corrupts the engine's fixpoint bookkeeping (and
-# any caller still holding the tree), so this runs each registered pass
-# against a transformed sample and asserts the input tree is bit-identical
-# afterwards.  Pure stdlib + repro, so it always runs.
+# Purity gate: transform helpers and deobfuscation passes must never
+# mutate the AST they are handed — they scan read-only and return
+# clone(program, edits).  A pass that edits in place corrupts the deob
+# engine's fixpoint bookkeeping (and any caller still holding the tree),
+# so this runs each transform helper over a sample and each registered
+# pass against a transformed sample, and asserts the input tree is
+# bit-identical afterwards.  Pure stdlib + repro, so it always runs.
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY'
 import random
 import sys
@@ -124,6 +127,13 @@ from repro.js.ast_nodes import to_dict
 from repro.js.parser import parse
 from repro.rules.engine import default_engine
 from repro.transform.base import TECHNIQUES, get_transformer
+from repro.transform.control_flow_flattening import flatten_program
+from repro.transform.dead_code import inject_dead_code
+from repro.transform.field_reference import obfuscate_field_references
+from repro.transform.global_array import extract_strings_to_array
+from repro.transform.minify_advanced import _replace_undefined, fold_program
+from repro.transform.renaming import rename_hex, rename_short
+from repro.transform.string_obfuscation import obfuscate_string_literals
 
 SAMPLE = """
 var secret = "abc" + "def";
@@ -137,8 +147,29 @@ function dispatch(op, x) {
 for (var i = 0; i < 10; i++) { dispatch("inc", i); }
 """
 
-rules = default_engine()
+HELPERS = {
+    "rename_short": lambda program, rng: rename_short(program),
+    "rename_hex": rename_hex,
+    "extract_strings_to_array": lambda program, rng: extract_strings_to_array(
+        program, rng, encoding="rc4", rotate=True
+    ),
+    "obfuscate_string_literals": obfuscate_string_literals,
+    "flatten_program": flatten_program,
+    "inject_dead_code": inject_dead_code,
+    "obfuscate_field_references": obfuscate_field_references,
+    "fold_program": lambda program, rng: fold_program(program),
+    "_replace_undefined": lambda program, rng: _replace_undefined(program),
+}
+
 failures = []
+for name, helper in HELPERS.items():
+    program = parse(SAMPLE + "const y = { secret }; if (true) { y.z = undefined; }")
+    snapshot = to_dict(program)
+    helper(program, random.Random(5))
+    if to_dict(program) != snapshot:
+        failures.append(f"transform helper {name} mutated its input")
+
+rules = default_engine()
 for technique in TECHNIQUES:
     source = get_transformer(technique).transform(SAMPLE, random.Random(5))
     program = parse(source)
@@ -151,11 +182,11 @@ for technique in TECHNIQUES:
             snapshot = to_dict(program)  # report each offending pass once
 
 if failures:
-    print("[lint] deob pass purity violations:", file=sys.stderr)
+    print("[lint] purity violations:", file=sys.stderr)
     for failure in failures:
         print(f"[lint]   {failure}", file=sys.stderr)
     sys.exit(1)
-print("[lint] deob purity gate: all passes leave their input AST untouched")
+print("[lint] purity gate: all transform helpers and deob passes leave their input AST untouched")
 PY
 
 if command -v ruff >/dev/null 2>&1; then

@@ -17,10 +17,9 @@ import re
 
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
-from repro.js.builder import identifier
 from repro.js.scope import Binding
 from repro.js.tokens import KEYWORDS
-from repro.transform.renaming import _UNSAFE_NAMES
+from repro.transform.renaming import _UNSAFE_NAMES, SHARING_TYPES, rename_edits
 
 _HEX_NAME_RE = re.compile(r"^_0x[0-9a-fA-F]+$")
 
@@ -48,9 +47,9 @@ class RenamePass(DeobPass):
         candidates = _candidates(bindings)
         if not candidates:
             return PassResult(program)
-        edits: dict[int, Node] = _unshared(tree, ctx)
         taken = {binding.name for binding in bindings}
         counters: dict[str, int] = {}
+        renames: list[tuple[Node, str]] = []
         for binding in candidates:
             prefix = _KIND_PREFIX.get(binding.kind, "var")
             while True:
@@ -59,44 +58,9 @@ class RenamePass(DeobPass):
                 if new_name not in taken and new_name not in KEYWORDS:
                     break
             taken.add(new_name)
-            for node in binding.declarations + binding.references + binding.assignments:
-                edits[id(node)] = identifier(new_name)
+            renames += [(node, new_name) for node in binding.sites]
+        edits = rename_edits(ctx.nodes(tree, *SHARING_TYPES), renames)
         return PassResult(clone(tree, edits), len(candidates))
-
-
-def _unshared(tree: Node, ctx: PassContext) -> dict[int, Node]:
-    """Edits that split the identifier nodes the parser shares between two
-    slots, so renaming the bound one leaves the other as written.
-
-    A shorthand property ``{x}`` (or pattern ``{x = 1}``) becomes
-    ``{x: x}`` with a key of its own, and every shorthand property is
-    written out; ``import {x}`` and ``export {x}`` keep their
-    module-facing name.
-    """
-    edits: dict[int, Node] = {}
-    for node in ctx.nodes(tree, "Property", "ImportSpecifier", "ExportSpecifier"):
-        if node.type == "Property":
-            if not node.get("shorthand"):
-                continue
-            value = node.value
-            shares_key = value is node.key or (
-                value.type == "AssignmentPattern" and value.left is node.key
-            )
-            key = identifier(node.key.name) if shares_key else node.key
-            edits[id(node)] = _with(node, key=key, shorthand=False)
-        elif node.type == "ImportSpecifier" and node.imported is node.local:
-            edits[id(node)] = _with(node, imported=identifier(node.imported.name))
-        elif node.type == "ExportSpecifier" and node.exported is node.local:
-            edits[id(node)] = _with(node, exported=identifier(node.exported.name))
-    return edits
-
-
-def _with(node: Node, **changes) -> Node:
-    """A shallow copy of ``node`` with ``changes``; its other children are
-    the input's, which the clone copies through the edits."""
-    fields = {key: value for key, value in node.fields().items() if key in node._fields}
-    fields.update(changes)
-    return Node(node.type, **fields)
 
 
 def _candidates(bindings: list[Binding]) -> list[Binding]:

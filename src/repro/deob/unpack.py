@@ -19,15 +19,15 @@ import re
 from repro.deob.base import DeobPass, PassContext, PassResult
 from repro.js.ast_nodes import Node, clone
 from repro.js.parser import parse
+from repro.transform.packer import BASE62
 
-_BASE62 = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _TOKEN_RE = re.compile(r"\b\w+\b")
 
 
 def _decode_base62(token: str) -> int | None:
     value = 0
     for char in token:
-        index = _BASE62.find(char)
+        index = BASE62.find(char)
         if index < 0:
             return None
         value = value * 62 + index

@@ -384,6 +384,23 @@ def clone(node: Any, edits: dict[int, Node | list[Node]] | None = None) -> Any:
     return _copy_value(None, None, node, edits)
 
 
+def replace(node: Node, **changes: Any) -> Node:
+    """A shallow copy of ``node`` with ``changes`` (no annotations).
+
+    Its other children are the input's own nodes, which :func:`clone`
+    copies through the same edits: ``edits[id(block)] = replace(block,
+    body=preamble + block.body)`` prepends to a block whose statements
+    carry edits of their own.
+    """
+    fields = {
+        key: value
+        for key, value in _set_fields(node)
+        if key != "type" and key not in _ANALYSIS_FIELDS
+    }
+    fields.update(changes)
+    return Node(node.type, **fields)
+
+
 def _copy(node: Node, edits: dict | None) -> Node:
     node_type = node.type
     fields: dict[str, Any] = {}

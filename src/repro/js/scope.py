@@ -48,9 +48,9 @@ class Binding:
     assignments: list[Node] = field(default_factory=list)
 
     @property
-    def is_renameable(self) -> bool:
-        """Whether a renamer may safely change this name."""
-        return self.kind != "global"
+    def sites(self) -> list[Node]:
+        """Every identifier that names this binding (what a renamer edits)."""
+        return self.declarations + self.references + self.assignments
 
 
 class Scope:
@@ -262,6 +262,22 @@ class ScopeAnalyzer:
         if node.get("computed"):
             self._visit(node.key, scope)
         self._visit(node.get("value"), scope)
+
+    # Module names: ``imported``/``exported`` and a re-export's ``local``
+    # name another module's bindings or this module's exports, never a
+    # variable of this file.
+
+    def _visit_ImportSpecifier(self, node: Node, scope: Scope) -> None:
+        self._visit(node.local, scope)
+
+    def _visit_ExportNamedDeclaration(self, node: Node, scope: Scope) -> None:
+        self._visit(node.get("declaration"), scope)
+        if node.get("source") is None:
+            for specifier in node.specifiers:
+                self._visit(specifier.local, scope)
+
+    def _visit_ExportAllDeclaration(self, node: Node, scope: Scope) -> None:
+        pass
 
     def _visit_LabeledStatement(self, node: Node, scope: Scope) -> None:
         self._visit(node.body, scope)  # label is not a variable

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 
-from repro.js.ast_nodes import Node
+from repro.js.ast_nodes import Node, clone, iter_child_nodes, replace
 from repro.js.builder import (
     block,
     break_stmt,
@@ -43,9 +43,9 @@ from repro.js.builder import (
 )
 from repro.js.codegen import generate
 from repro.js.parser import parse
-from repro.js.visitor import walk
+from repro.js.scope import FUNCTION_TYPES
 from repro.transform.base import Technique, Transformer, looks_minified, register
-from repro.transform.renaming import rename_hex
+from repro.transform.renaming import hex_name, rename_hex
 
 _LOOP_TYPES = frozenset(
     {"ForStatement", "ForInStatement", "ForOfStatement", "WhileStatement", "DoWhileStatement"}
@@ -60,7 +60,7 @@ def _has_free_break_or_continue(statement: Node) -> bool:
             loop_depth += 1
         elif node.type == "SwitchStatement":
             switch_depth += 1
-        elif node.type in ("FunctionDeclaration", "FunctionExpression", "ArrowFunctionExpression"):
+        elif node.type in FUNCTION_TYPES:
             return False  # break/continue cannot cross function boundaries
         elif node.type == "BreakStatement":
             if node.get("label") is not None:
@@ -70,8 +70,6 @@ def _has_free_break_or_continue(statement: Node) -> bool:
         elif node.type == "ContinueStatement":
             if node.get("label") is not None or loop_depth == 0:
                 return True
-        from repro.js.ast_nodes import iter_child_nodes
-
         return any(scan(child, loop_depth, switch_depth) for child in iter_child_nodes(node))
 
     return scan(statement, 0, 0)
@@ -93,25 +91,26 @@ def _flattenable(statements: list[Node]) -> bool:
     return True
 
 
-def _demote_lexical_declarations(statements: list[Node]) -> None:
+def _demoted(statement: Node) -> Node:
     """``let``/``const`` at dispatcher level would not survive the switch
     cases as separate scopes — demote them to ``var`` (function-scoped)."""
-    for statement in statements:
-        if statement.type == "VariableDeclaration" and statement.kind in ("let", "const"):
-            statement.kind = "var"
+    if statement.type == "VariableDeclaration" and statement.kind in ("let", "const"):
+        return replace(statement, kind="var")
+    return statement
 
 
 def flatten_statement_list(
     statements: list[Node], rng: random.Random
 ) -> list[Node] | None:
-    """Flatten one statement list; ``None`` when the list is not eligible."""
+    """The flattened copy of one statement list; ``None`` when the list is
+    not eligible.  The input statements are moved, not changed."""
     if not _flattenable(statements):
         return None
     hoisted = [s for s in statements if s.type == "FunctionDeclaration"]
     dispatchable = [s for s in statements if s.type != "FunctionDeclaration"]
     if len(dispatchable) < 3:
         return None
-    _demote_lexical_declarations(dispatchable)
+    dispatchable = [_demoted(statement) for statement in dispatchable]
 
     # Statement i gets random case label labels[i]; the order string lists
     # the labels in execution order, while the case bodies are shuffled in
@@ -120,7 +119,7 @@ def flatten_statement_list(
     rng.shuffle(labels)
     order_string = "|".join(str(label) for label in labels)
 
-    order_name = "_0x" + "".join(rng.choice("0123456789abcdef") for _ in range(4))
+    order_name = hex_name(rng, 4)
     counter_name = order_name + "i"
 
     cases = [
@@ -159,23 +158,26 @@ def flatten_statement_list(
     return hoisted + dispatcher
 
 
-def flatten_program(program: Node, rng: random.Random) -> int:
-    """Flatten the top level and every eligible function body; returns count."""
-    flattened = 0
-    for node in walk(program):
-        if node.type in ("FunctionDeclaration", "FunctionExpression", "ArrowFunctionExpression"):
-            body = node.body
-            if body.type != "BlockStatement":
-                continue
-            result = flatten_statement_list(body.body, rng)
+def flatten_program(program: Node, rng: random.Random) -> tuple[Node, int]:
+    """``program`` with its top level and every eligible function body
+    flattened, and how many were.
+
+    Function bodies flatten in pre-order over the flattened tree, so a
+    nested function's turn (and its rng draws) follows its shuffled case.
+    """
+    edits: dict[int, Node] = {}
+    stack = [program]
+    while stack:
+        node = stack.pop()
+        if node.type in FUNCTION_TYPES and node.body.type == "BlockStatement":
+            result = flatten_statement_list(node.body.body, rng)
             if result is not None:
-                body.body = result
-                flattened += 1
+                edits[id(node.body)] = replace(node.body, body=result)
+        stack.extend(reversed(list(iter_child_nodes(edits.get(id(node), node)))))
     result = flatten_statement_list(program.body, rng)
     if result is not None:
-        program.body = result
-        flattened += 1
-    return flattened
+        edits[id(program)] = replace(program, body=result)
+    return clone(program, edits), len(edits)
 
 
 class ControlFlowFlattener(Transformer):
@@ -187,9 +189,8 @@ class ControlFlowFlattener(Transformer):
     )
 
     def transform(self, source: str, rng: random.Random) -> str:
-        program = parse(source)
-        flatten_program(program, rng)
-        rename_hex(program, rng)
+        program, _ = flatten_program(parse(source), rng)
+        program, _ = rename_hex(program, rng)
         return generate(program, compact=looks_minified(source))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from repro.js.ast_nodes import Node, clone
+from repro.js.ast_nodes import Node, clone, replace
 from repro.js.builder import (
     binary,
     block,
@@ -32,7 +32,7 @@ from repro.js.builder import (
 from repro.js.codegen import generate
 from repro.js.parser import parse
 from repro.transform.base import Technique, Transformer, looks_minified, register
-from repro.transform.renaming import rename_hex
+from repro.transform.renaming import hex_digits, hex_name, rename_hex
 
 _JUNK_WORDS = (
     "apply",
@@ -53,23 +53,19 @@ _JUNK_WORDS = (
 )
 
 
-def _random_name(rng: random.Random) -> str:
-    return "_0x" + "".join(rng.choice("0123456789abcdef") for _ in range(6))
-
-
 def _opaque_false_test(rng: random.Random) -> Node:
     """A comparison of two distinct random hex strings — always false."""
-    left = "".join(rng.choice("0123456789abcdef") for _ in range(5))
-    right = "".join(rng.choice("0123456789abcdef") for _ in range(5))
+    left = hex_digits(rng, 5)
+    right = hex_digits(rng, 5)
     while right == left:
-        right = "".join(rng.choice("0123456789abcdef") for _ in range(5))
+        right = hex_digits(rng, 5)
     return binary("===", string(left), string(right))
 
 
 def _junk_statement(rng: random.Random) -> Node:
     """A statement with no observable effect on the original program."""
     choice = rng.randrange(3)
-    name = _random_name(rng)
+    name = hex_name(rng)
     if choice == 0:
         word = rng.choice(_JUNK_WORDS)
         return var_decl(
@@ -89,14 +85,16 @@ def _junk_statement(rng: random.Random) -> Node:
 
 def inject_dead_code(
     program: Node, rng: random.Random, density: float = 0.35
-) -> int:
-    """Insert dead branches and junk statements into every statement list."""
+) -> tuple[Node, int]:
+    """``program`` with dead branches and junk statements in its top level
+    and every function declaration's body, and how many went in."""
     real_statements = [
         statement
         for statement in program.body
         if statement.type in ("ExpressionStatement", "VariableDeclaration", "ReturnStatement")
     ]
     injected = 0
+    edits: dict[int, Node] = {}
 
     def inject_into(body: list[Node]) -> list[Node]:
         nonlocal injected
@@ -107,7 +105,8 @@ def inject_dead_code(
                 injected += 1
             out.append(statement)
             if statement.type == "FunctionDeclaration":
-                statement.body.body = inject_into(statement.body.body)
+                body_block = statement.body
+                edits[id(body_block)] = replace(body_block, body=inject_into(body_block.body))
         if rng.random() < density or not injected:
             out.append(_make_dead(rng))
             injected += 1
@@ -121,8 +120,8 @@ def inject_dead_code(
             return if_stmt(_opaque_false_test(rng), block([cloned]))
         return _junk_statement(rng)
 
-    program.body = inject_into(program.body)
-    return injected
+    edits[id(program)] = replace(program, body=inject_into(program.body))
+    return clone(program, edits), injected
 
 
 class DeadCodeInjector(Transformer):
@@ -139,9 +138,8 @@ class DeadCodeInjector(Transformer):
         self.density = density
 
     def transform(self, source: str, rng: random.Random) -> str:
-        program = parse(source)
-        inject_dead_code(program, rng, density=self.density)
-        rename_hex(program, rng)
+        program, _ = inject_dead_code(parse(source), rng, density=self.density)
+        program, _ = rename_hex(program, rng)
         return generate(program, compact=looks_minified(source))
 
 

@@ -14,7 +14,7 @@ import random
 from repro.js.codegen import generate
 from repro.js.parser import parse
 from repro.transform.base import Technique, Transformer, looks_minified, register
-from repro.transform.renaming import rename_hex
+from repro.transform.renaming import hex_name, rename_hex
 
 _PROTECTION_TEMPLATE = """\
 function {guard}({counter}) {{
@@ -54,14 +54,10 @@ setInterval(function () {{
 """
 
 
-def _fresh(rng: random.Random) -> str:
-    return "_0x" + "".join(rng.choice("0123456789abcdef") for _ in range(6))
-
-
 def build_protection(rng: random.Random) -> str:
     """The debug-protection preamble with randomized identifiers."""
     names = {
-        key: _fresh(rng) for key in ("guard", "counter", "probe", "depth", "loop", "error")
+        key: hex_name(rng) for key in ("guard", "counter", "probe", "depth", "loop", "error")
     }
     return _PROTECTION_TEMPLATE.format(**names)
 
@@ -74,8 +70,7 @@ class DebugProtector(Transformer):
 
     def transform(self, source: str, rng: random.Random) -> str:
         protected = build_protection(rng) + "\n" + source
-        program = parse(protected)
-        rename_hex(program, rng)
+        program, _ = rename_hex(parse(protected), rng)
         return generate(program, compact=looks_minified(source))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from repro.js.ast_nodes import Node
+from repro.js.ast_nodes import Node, clone, replace
 from repro.js.builder import string
 from repro.js.codegen import generate
 from repro.js.parser import parse
@@ -22,9 +22,11 @@ from repro.js.visitor import walk
 from repro.transform.base import looks_minified
 
 
-def obfuscate_field_references(program: Node, rng: random.Random, probability: float = 1.0) -> int:
-    """Rewrite ``obj.prop`` into ``obj["prop"]`` in place; returns count."""
-    rewritten = 0
+def obfuscate_field_references(
+    program: Node, rng: random.Random, probability: float = 1.0
+) -> tuple[Node, int]:
+    """``program`` with ``obj.prop`` rewritten to ``obj["prop"]``, and the count."""
+    edits: dict[int, Node] = {}
     for node in walk(program):
         if node.type != "MemberExpression" or node.get("computed"):
             continue
@@ -33,10 +35,8 @@ def obfuscate_field_references(program: Node, rng: random.Random, probability: f
             continue
         if rng.random() > probability:
             continue
-        node.property = string(prop.name)
-        node.computed = True
-        rewritten += 1
-    return rewritten
+        edits[id(node)] = replace(node, property=string(prop.name), computed=True)
+    return clone(program, edits), len(edits)
 
 
 class FieldReferenceObfuscator:
@@ -45,6 +45,5 @@ class FieldReferenceObfuscator:
     name = "obfuscated_field_reference"
 
     def transform(self, source: str, rng: random.Random) -> str:
-        program = parse(source)
-        obfuscate_field_references(program, rng)
+        program, _ = obfuscate_field_references(parse(source), rng)
         return generate(program, compact=looks_minified(source))

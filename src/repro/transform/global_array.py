@@ -13,7 +13,7 @@ from __future__ import annotations
 import base64
 import random
 
-from repro.js.ast_nodes import Node, iter_fields
+from repro.js.ast_nodes import Node, clone, replace
 from repro.js.builder import (
     array,
     binary,
@@ -29,7 +29,7 @@ from repro.js.codegen import generate
 from repro.js.parser import parse
 from repro.js.visitor import walk_with_parents
 from repro.transform.base import Technique, Transformer, looks_minified, register
-from repro.transform.renaming import rename_hex
+from repro.transform.renaming import hex_name, rename_hex
 
 
 _KEY_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789!&)("
@@ -73,8 +73,9 @@ def extract_strings_to_array(
     encoding: str = "none",
     rotate: bool = False,
     decoder: str = "direct",
-) -> tuple[int, str]:
-    """Hoist string literals into a global array; returns (count, array name).
+) -> tuple[Node, int]:
+    """``program`` with its string literals hoisted into a global array, and
+    how many literals moved.
 
     ``encoding`` mirrors obfuscator.io's stringArrayEncoding option:
     ``"none"`` stores plain strings, ``"base64"`` stores base64 payloads
@@ -96,14 +97,14 @@ def extract_strings_to_array(
         raise ValueError(f"Unknown string-array decoder {decoder!r}")
     if encoding == "rc4":
         decoder = "selfref"
-    array_name = "_0x" + "".join(rng.choice("0123456789abcdef") for _ in range(4))
+    array_name = hex_name(rng, 4)
     accessor_name = array_name + "_"
     offset = rng.randint(0x10, 0xFF)
 
     strings: list[str] = []
     index_of: dict[str, int] = {}
     keys: list[str] = []  # per-string RC4 keys (rc4 encoding only)
-    replacements: list[tuple[Node, str, int | None, Node]] = []
+    edits: dict[int, Node] = {}
 
     for node, parent in walk_with_parents(program):
         if parent is None or node.type != "Literal" or not isinstance(node.value, str):
@@ -131,29 +132,11 @@ def extract_strings_to_array(
         arguments = [hex_index]
         if encoding == "rc4":
             arguments.append(string(keys[index]))
-        access = call(accessor_name, arguments)
-        for field, fvalue in iter_fields(parent):
-            if fvalue is node:
-                replacements.append((parent, field, None, access))
-                break
-            if isinstance(fvalue, list):
-                found = False
-                for pos, item in enumerate(fvalue):
-                    if item is node:
-                        replacements.append((parent, field, pos, access))
-                        found = True
-                        break
-                if found:
-                    break
+        edits[id(node)] = call(accessor_name, arguments)
 
     if not strings:
-        return 0, array_name
-
-    for parent, field, pos, replacement in replacements:
-        if pos is None:
-            setattr(parent, field, replacement)
-        else:
-            getattr(parent, field)[pos] = replacement
+        return program, 0
+    count = len(edits)
 
     stored = strings
     if encoding == "base64":
@@ -255,8 +238,8 @@ def extract_strings_to_array(
             end=0,
         )
         preamble.append(rotator)
-    program.body = preamble + program.body
-    return len(replacements), array_name
+    edits[id(program)] = replace(program, body=preamble + program.body)
+    return clone(program, edits), count
 
 
 class GlobalArrayObfuscator(Transformer):
@@ -281,14 +264,13 @@ class GlobalArrayObfuscator(Transformer):
         self.decoder = decoder
 
     def transform(self, source: str, rng: random.Random) -> str:
-        program = parse(source)
         encoding = self.encoding if self.encoding is not None else rng.choice(("none", "none", "base64"))
         rotate = self.rotate if self.rotate is not None else rng.random() < 0.3
         decoder = self.decoder if self.decoder is not None else "direct"
-        extract_strings_to_array(
-            program, rng, encoding=encoding, rotate=rotate, decoder=decoder
+        program, _ = extract_strings_to_array(
+            parse(source), rng, encoding=encoding, rotate=rotate, decoder=decoder
         )
-        rename_hex(program, rng)
+        program, _ = rename_hex(program, rng)
         return generate(program, compact=looks_minified(source))
 
 

@@ -23,8 +23,7 @@ class IdentifierObfuscator(Transformer):
     labels = frozenset({Technique.IDENTIFIER_OBFUSCATION})
 
     def transform(self, source: str, rng: random.Random) -> str:
-        program = parse(source)
-        rename_hex(program, rng)
+        program, _ = rename_hex(parse(source), rng)
         return generate(program, compact=looks_minified(source))
 
 

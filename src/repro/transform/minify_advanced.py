@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import random
 
-from repro.js.ast_nodes import Node
-from repro.js.builder import literal, sequence, unary
+from repro.js.ast_nodes import Node, clone, replace
+from repro.js.builder import conditional, expr_statement, literal, sequence, unary
 from repro.js.codegen import generate
 from repro.js.parser import parse
 from repro.js.semantics import MISS, binary, has_literal, is_number, literal_value, to_boolean
-from repro.js.visitor import NodeTransformer
+from repro.js.visitor import walk, walk_with_parents
 from repro.transform.base import Technique, Transformer, register
 from repro.transform.renaming import rename_short
 
@@ -30,12 +30,67 @@ _TERMINATORS = frozenset(
 )
 
 
-class _Folder(NodeTransformer):
-    """Bottom-up simplification passes (children are already folded)."""
+class _Folder:
+    """Folds children first: each node's replacement is computed once, from
+    its children as folded (``true`` is ``!0`` by the time ``if (!true)``
+    reads it), and recorded in ``edits`` when it differs from the node.
 
-    def visit_BinaryExpression(self, node: Node) -> Node | None:
-        left = literal_value(node.left)
-        right = literal_value(node.right)
+    A statement folds to a statement or, when it is dead, to ``[]``.
+    """
+
+    def __init__(self) -> None:
+        self.edits: dict[int, Node | list[Node]] = {}
+        self._folded: dict[int, Node | list[Node]] = {}
+
+    def fold(self, node: Node) -> Node | list[Node]:
+        """``node`` as folded: its replacement, or itself."""
+        folded = self._folded.get(id(node))
+        if folded is None:
+            folded = self._folded[id(node)] = self._fold(node)
+        return folded
+
+    def _fold(self, node: Node) -> Node | list[Node]:
+        node_type = node.type
+        if node_type == "UnaryExpression":
+            # Kept, but read through its folded operand: `!true` is `!!0`.
+            argument = self.fold(node.argument)
+            return node if argument is node.argument else unary(node.operator, argument)
+        if node_type == "Literal":
+            # true → !0, false → !1
+            folded = unary("!", literal(1 - node.value)) if type(node.value) is bool else None
+        elif node_type == "BinaryExpression":
+            folded = self._fold_binary(node)
+        elif node_type == "IfStatement":
+            folded = self._fold_if(node)
+        elif node_type in ("BlockStatement", "Program"):
+            folded = replace(node, body=_compress_statements(self._statements(node.body)))
+        else:
+            folded = None
+        if folded is None:
+            return node
+        self.edits[id(node)] = folded
+        return folded
+
+    def _statements(self, body: list[Node]) -> list[Node]:
+        """``body`` as folded, dead statements dropped."""
+        out: list[Node] = []
+        for statement in body:
+            folded = self.fold(statement)
+            if isinstance(folded, Node):
+                out.append(folded)
+            else:
+                out.extend(folded)
+        return out
+
+    def _statement(self, node: Node | None) -> Node | None:
+        """The statement in a single-statement slot as folded; ``None`` when
+        the slot is empty or its statement is dead."""
+        folded = None if node is None else self.fold(node)
+        return folded if isinstance(folded, Node) else None
+
+    def _fold_binary(self, node: Node) -> Node | None:
+        left = literal_value(self.fold(node.left))
+        right = literal_value(self.fold(node.right))
         if left is MISS or right is MISS:
             return None
         operator = node.operator
@@ -54,60 +109,33 @@ class _Folder(NodeTransformer):
             return None  # NaN, ±Infinity and -0 have no literal: keep the code
         return literal(value)
 
-    def visit_IfStatement(self, node: Node) -> Node | list | object | None:
-        test = literal_value(node.test)
+    def _fold_if(self, node: Node) -> Node | list[Node] | None:
+        consequent = self._statement(node.consequent)
+        alternate = self._statement(node.alternate)
+        test = literal_value(self.fold(node.test))
         if test is not MISS:
-            if to_boolean(test):
-                return node.consequent
-            if node.alternate is not None:
-                return node.alternate
-            return NodeTransformer.REMOVE
-        consequent = _single_expression(node.consequent)
-        alternate = _single_expression(node.alternate) if node.alternate else None
-        if consequent is not None and alternate is not None:
-            return Node(
-                "ExpressionStatement",
-                expression=Node(
-                    "ConditionalExpression",
-                    test=node.test,
-                    consequent=consequent,
-                    alternate=alternate,
-                    start=0,
-                    end=0,
-                ),
-                start=0,
-                end=0,
+            kept = consequent if to_boolean(test) else alternate
+            return [] if kept is None else kept
+        then = _single_expression(consequent)
+        if then is None:
+            return None
+        if alternate is None:  # if (a) b(); → a && b();
+            return expr_statement(
+                Node("LogicalExpression", operator="&&", left=node.test, right=then, start=0, end=0)
             )
-        if consequent is not None and node.alternate is None:
-            return Node(
-                "ExpressionStatement",
-                expression=Node(
-                    "LogicalExpression",
-                    operator="&&",
-                    left=node.test,
-                    right=consequent,
-                    start=0,
-                    end=0,
-                ),
-                start=0,
-                end=0,
-            )
-        return None
+        otherwise = _single_expression(alternate)
+        if otherwise is None:
+            return None
+        return expr_statement(conditional(node.test, then, otherwise))
 
-    def visit_Literal(self, node: Node) -> Node | None:
-        if node.value is True:
-            return unary("!", literal(0))
-        if node.value is False:
-            return unary("!", literal(1))
-        return None
 
-    def visit_BlockStatement(self, node: Node) -> Node | None:
-        node.body = _compress_statements(node.body)
-        return None
-
-    def visit_Program(self, node: Node) -> Node | None:
-        node.body = _compress_statements(node.body)
-        return None
+def fold_program(program: Node) -> Node:
+    """``program`` with constants folded, dead code dropped and statement
+    runs merged."""
+    folder = _Folder()
+    for node in reversed(list(walk(program))):  # children first: no deep recursion
+        folder.fold(node)
+    return clone(program, folder.edits)
 
 
 def _single_expression(statement: Node | None) -> Node | None:
@@ -164,12 +192,9 @@ def _flush_expression_run(run: list[Node], out: list[Node]) -> None:
     run.clear()
 
 
-def _replace_undefined(program: Node) -> None:
-    """Rewrite value-position ``undefined`` references to ``void 0``."""
-    from repro.js.ast_nodes import iter_fields
-    from repro.js.visitor import walk_with_parents
-
-    replacement_needed: list[tuple[Node, str, int | None, Node]] = []
+def _replace_undefined(program: Node) -> Node:
+    """``program`` with value-position ``undefined`` references as ``void 0``."""
+    edits: dict[int, Node] = {}
     for node, parent in walk_with_parents(program):
         if parent is None or node.type != "Identifier" or node.name != "undefined":
             continue
@@ -181,21 +206,10 @@ def _replace_undefined(program: Node) -> None:
             continue
         if parent.type == "VariableDeclarator" and parent.id is node:
             continue
-        for field, value in iter_fields(parent):
-            if value is node:
-                replacement_needed.append((parent, field, None, node))
-            elif isinstance(value, list):
-                for pos, item in enumerate(value):
-                    if item is node:
-                        replacement_needed.append((parent, field, pos, node))
-    for parent, field, pos, _node in replacement_needed:
-        void0 = Node(
+        edits[id(node)] = Node(
             "UnaryExpression", operator="void", argument=literal(0), prefix=True, start=0, end=0
         )
-        if pos is None:
-            setattr(parent, field, void0)
-        else:
-            getattr(parent, field)[pos] = void0
+    return clone(program, edits)
 
 
 class AdvancedMinifier(Transformer):
@@ -206,10 +220,8 @@ class AdvancedMinifier(Transformer):
     labels = frozenset({Technique.MINIFICATION_ADVANCED, Technique.MINIFICATION_SIMPLE})
 
     def transform(self, source: str, rng: random.Random) -> str:
-        program = parse(source)
-        program = _Folder().transform(program)
-        _replace_undefined(program)
-        rename_short(program)
+        program = _replace_undefined(fold_program(parse(source)))
+        program, _ = rename_short(program)
         return generate(program, compact=True)
 
 

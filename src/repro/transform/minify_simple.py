@@ -21,8 +21,7 @@ class SimpleMinifier(Transformer):
     labels = frozenset({Technique.MINIFICATION_SIMPLE})
 
     def transform(self, source: str, rng: random.Random) -> str:
-        program = parse(source)
-        rename_short(program)
+        program, _ = rename_short(parse(source))
         return generate(program, compact=True)
 
 

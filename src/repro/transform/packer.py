@@ -23,7 +23,8 @@ import re
 
 from repro.transform.minify_simple import SimpleMinifier
 
-_BASE62 = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+#: p.a.c.k.e.r's base-62 digits (``deob/unpack.py`` decodes with them).
+BASE62 = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 _UNPACKER = (
     "eval(function(p,a,c,k,e,d){e=function(c){return(c<a?'':e(parseInt(c/a)))+"
@@ -36,11 +37,11 @@ _UNPACKER = (
 
 def _encode_base62(value: int) -> str:
     if value < 62:
-        return _BASE62[value]
+        return BASE62[value]
     out = ""
     while value:
         value, rem = divmod(value, 62)
-        out = _BASE62[rem] + out
+        out = BASE62[rem] + out
     return out
 
 

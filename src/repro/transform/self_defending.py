@@ -16,7 +16,7 @@ import random
 from repro.js.codegen import generate
 from repro.js.parser import parse
 from repro.transform.base import Technique, Transformer, register
-from repro.transform.renaming import rename_hex
+from repro.transform.renaming import hex_name, rename_hex
 
 _GUARD_TEMPLATE = """\
 var {outer} = (function () {{
@@ -46,14 +46,10 @@ var {checker} = {outer}(this, function () {{
 """
 
 
-def _fresh(rng: random.Random) -> str:
-    return "_0x" + "".join(rng.choice("0123456789abcdef") for _ in range(6))
-
-
 def build_guard(rng: random.Random) -> str:
     """The self-defending preamble with randomized identifiers."""
     names = {
-        key: _fresh(rng)
+        key: hex_name(rng)
         for key in (
             "outer",
             "flag",
@@ -83,8 +79,7 @@ class SelfDefendingWrapper(Transformer):
 
     def transform(self, source: str, rng: random.Random) -> str:
         guarded = build_guard(rng) + "\n" + source
-        program = parse(guarded)
-        rename_hex(program, rng)
+        program, _ = rename_hex(parse(guarded), rng)
         return generate(program, compact=True)
 
 

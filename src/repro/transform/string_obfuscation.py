@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from repro.js.ast_nodes import Node
+from repro.js.ast_nodes import Node, clone
 from repro.js.builder import binary, call, literal, member, string
 from repro.js.codegen import generate
 from repro.js.parser import parse
@@ -75,17 +75,17 @@ def obfuscate_string_literals(
     probability: float = 1.0,
     min_length: int = 2,
     methods: tuple = _METHODS,
-) -> int:
-    """Replace eligible string literals in place; returns how many changed."""
-    replacements: list[tuple[Node, str, int | None, Node]] = []
-    from repro.js.ast_nodes import iter_fields
-
+) -> tuple[Node, int]:
+    """``program`` with eligible string literals rewritten, and their count."""
+    edits: dict[int, Node] = {}
     for node, parent in walk_with_parents(program):
         if parent is None or node.type != "Literal" or not isinstance(node.value, str):
             continue
         if len(node.value) < min_length:
             continue
-        # Keep property keys, import sources and directive prologues intact.
+        # Keep property keys and module specifiers intact.  A directive
+        # prologue ("use strict") is an ordinary string statement here, so
+        # it is rewritten and stops being a directive.
         if parent.type in ("Property", "MethodDefinition", "PropertyDefinition") and parent.key is node:
             continue
         if parent.type in ("ImportDeclaration", "ExportNamedDeclaration", "ExportAllDeclaration"):
@@ -103,28 +103,10 @@ def obfuscate_string_literals(
             continue
         method = rng.choice(choices)
         if method is _split_concat:
-            replacement = method(node.value, rng)
-        elif method is _hex_escape or method is _from_char_code or method is _reverse_join:
-            replacement = method(node.value)
-        for field, value in iter_fields(parent):
-            if value is node:
-                replacements.append((parent, field, None, replacement))
-                break
-            if isinstance(value, list):
-                found = False
-                for pos, item in enumerate(value):
-                    if item is node:
-                        replacements.append((parent, field, pos, replacement))
-                        found = True
-                        break
-                if found:
-                    break
-    for parent, field, pos, replacement in replacements:
-        if pos is None:
-            setattr(parent, field, replacement)
+            edits[id(node)] = method(node.value, rng)
         else:
-            getattr(parent, field)[pos] = replacement
-    return len(replacements)
+            edits[id(node)] = method(node.value)
+    return clone(program, edits), len(edits)
 
 
 _METHOD_BY_NAME = {
@@ -161,14 +143,13 @@ class StringObfuscator(Transformer):
         self.min_length = min_length
 
     def transform(self, source: str, rng: random.Random) -> str:
-        program = parse(source)
         chosen = (
             tuple(_METHOD_BY_NAME[name] for name in self.methods)
             if self.methods is not None
             else _METHODS
         )
-        obfuscate_string_literals(
-            program,
+        program, _ = obfuscate_string_literals(
+            parse(source),
             rng,
             probability=self.probability,
             min_length=self.min_length,

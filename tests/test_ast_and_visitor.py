@@ -5,7 +5,6 @@ import pytest
 from repro.js.ast_nodes import Node, clone, from_dict, iter_child_nodes, to_dict
 from repro.js.parser import parse
 from repro.js.visitor import (
-    NodeTransformer,
     attach_parents,
     count_nodes,
     find_all,
@@ -178,55 +177,3 @@ class TestTraversal:
         statement = program.body[0]
         children = list(iter_child_nodes(statement))
         assert all(c is not program for c in children)
-
-
-class TestNodeTransformer:
-    def test_replace_node(self):
-        program = parse("var x = 1;")
-
-        class RenameX(NodeTransformer):
-            def visit_Identifier(self, node):
-                if node.name == "x":
-                    return Node("Identifier", name="y", start=0, end=0)
-
-        result = RenameX().transform(program)
-        assert find_all(result, "Identifier")[0].name == "y"
-
-    def test_remove_from_list(self):
-        program = parse("a(); debugger; b();")
-
-        class StripDebugger(NodeTransformer):
-            def visit_DebuggerStatement(self, node):
-                return NodeTransformer.REMOVE
-
-        result = StripDebugger().transform(program)
-        assert len(result.body) == 2
-
-    def test_splice_list(self):
-        program = parse("one();")
-
-        class Duplicate(NodeTransformer):
-            def visit_ExpressionStatement(self, node):
-                return [node, clone(node)]
-
-        result = Duplicate().transform(program)
-        assert len(result.body) == 2
-
-    def test_bottom_up_order(self):
-        program = parse("f(g());")
-        seen = []
-
-        class Record(NodeTransformer):
-            def visit_CallExpression(self, node):
-                seen.append(node.callee.name if node.callee.type == "Identifier" else "?")
-
-        Record().transform(program)
-        assert seen == ["g", "f"]  # children first
-
-    def test_cannot_remove_root(self):
-        class Nuke(NodeTransformer):
-            def visit_Program(self, node):
-                return NodeTransformer.REMOVE
-
-        with pytest.raises(ValueError):
-            Nuke().transform(parse("x;"))

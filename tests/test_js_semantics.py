@@ -33,7 +33,7 @@ from repro.js.semantics import (
     unescape,
 )
 from repro.rules.context import is_constant_false, is_truthy_literal
-from repro.transform.minify_advanced import _Folder
+from repro.transform.minify_advanced import fold_program
 
 
 def _same(actual, expected) -> bool:
@@ -245,7 +245,7 @@ def test_deob_folds_to_the_js_value(source, expected):
     ],
 )
 def test_minify_folds_to_the_js_value(source, expected):
-    assert generate(_Folder().transform(parse(source)), compact=True) == expected
+    assert generate(fold_program(parse(source)), compact=True) == expected
 
 
 @pytest.mark.parametrize(

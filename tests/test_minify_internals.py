@@ -9,13 +9,13 @@ from repro.js.semantics import literal_value as _literal_value
 from repro.transform.minify_advanced import (
     AdvancedMinifier,
     _compress_statements,
-    _Folder,
     _single_expression,
+    fold_program,
 )
 
 
 def fold(source: str) -> str:
-    program = _Folder().transform(parse(source))
+    program = fold_program(parse(source))
     return generate(program, compact=True)
 
 
@@ -74,13 +74,13 @@ class TestFolding:
 class TestCompression:
     def test_unreachable_after_return(self):
         program = parse("function f() { return 1; dead(); }")
-        program = _Folder().transform(program)
+        program = fold_program(program)
         body = program.body[0].body.body
         assert len(body) == 1
 
     def test_hoisted_declarations_survive(self):
         program = parse("function f() { return g(); function g() { return 2; } }")
-        program = _Folder().transform(program)
+        program = fold_program(program)
         body = program.body[0].body.body
         assert len(body) == 2
 

@@ -34,6 +34,17 @@ class TestDeclarations:
     def test_import_binding(self):
         assert bindings_of("import x from 'mod';")["x"].kind == "import"
 
+    def test_module_names_are_not_references(self):
+        # `x` names m's export, `y` this module's export, `z` m's export.
+        table = bindings_of(
+            "import {x as a} from 'm'; var x = 1, y = 2, z = 3; a(x);"
+            " export {x as y}; export {z} from 'm'; export * as w from 'm';"
+        )
+        assert len(table["x"].references) == 2  # a(x) and export {x as y}
+        assert table["y"].references == []
+        assert table["z"].references == []
+        assert "w" not in table
+
     def test_undeclared_is_global(self):
         assert bindings_of("console.log(1);")["console"].kind == "global"
 

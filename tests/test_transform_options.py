@@ -23,8 +23,7 @@ class TestGlobalArrayOptions:
     def test_base64_payload_decodable(self, rng):
         import base64
 
-        program = parse(SOURCE)
-        extract_strings_to_array(program, rng, encoding="base64")
+        program, _ = extract_strings_to_array(parse(SOURCE), rng, encoding="base64")
         arrays = find_all(program, "ArrayExpression")
         stored = [el.value for el in arrays[0].elements]
         decoded = {base64.b64decode(s).decode() for s in stored}
@@ -37,10 +36,8 @@ class TestGlobalArrayOptions:
 
     def test_rotation_changes_static_order(self):
         rng_a, rng_b = random.Random(5), random.Random(5)
-        plain = parse(SOURCE)
-        extract_strings_to_array(plain, rng_a, rotate=False)
-        rotated = parse(SOURCE)
-        extract_strings_to_array(rotated, rng_b, rotate=True)
+        plain, _ = extract_strings_to_array(parse(SOURCE), rng_a, rotate=False)
+        rotated, _ = extract_strings_to_array(parse(SOURCE), rng_b, rotate=True)
         order_plain = [e.value for e in find_all(plain, "ArrayExpression")[0].elements]
         order_rotated = [e.value for e in find_all(rotated, "ArrayExpression")[0].elements]
         assert sorted(order_plain) == sorted(order_rotated)

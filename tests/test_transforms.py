@@ -15,7 +15,6 @@ from repro.transform import (
 from repro.transform.base import looks_minified
 from repro.transform.packer import DeanEdwardsPacker, pack
 from repro.transform.renaming import (
-    expand_shorthand_properties,
     hex_name_generator,
     rename_hex,
     rename_short,
@@ -74,35 +73,31 @@ class TestRenaming:
         assert all(name.startswith("_0x") for name in names)
 
     def test_rename_short_keeps_globals(self, source, rng):
-        program = parse(source)
-        rename_short(program)
+        program, _ = rename_short(parse(source))
         names = {n.name for n in find_all(program, "Identifier")}
         assert "console" in names  # global untouched
         assert "JSON" in names
         assert "fetchData" not in names  # local renamed
 
     def test_rename_preserves_property_names(self, rng):
-        program = parse("var obj = { value: 1 }; use(obj.value);")
-        rename_short(program)
+        program, _ = rename_short(parse("var obj = { value: 1 }; use(obj.value);"))
         members = find_all(program, "MemberExpression")
         assert members[0].property.name == "value"
 
     def test_rename_shorthand_expansion(self, rng):
-        program = parse("var alpha = 1; f({ alpha });")
-        rename_hex(program, rng)
+        program, _ = rename_hex(parse("var alpha = 1; f({ alpha });"), rng)
         props = find_all(program, "Property")
         assert props[0].key.name == "alpha"  # key kept
         assert props[0].value.name.startswith("_0x")  # value renamed
 
-    def test_expand_shorthand_pattern(self):
-        program = parse("var { m } = obj; use(m);")
-        expand_shorthand_properties(program)
+    def test_expand_shorthand_pattern(self, rng):
+        program, _ = rename_hex(parse("var { m } = obj; use(m);"), rng)
         props = find_all(program, "Property")
         assert props[0].key is not props[0].value
+        assert props[0].key.name == "m" != props[0].value.name
 
     def test_rename_consistency(self, rng):
-        program = parse("function f(a) { return a + a; } f(1);")
-        rename_hex(program, rng)
+        program, _ = rename_hex(parse("function f(a) { return a + a; } f(1);"), rng)
         fn = find_all(program, "FunctionDeclaration")[0]
         param = fn.params[0].name
         body_ids = {n.name for n in find_all(fn.body, "Identifier")}
